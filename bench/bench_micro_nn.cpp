@@ -214,6 +214,18 @@ void BM_SlowFastInference(benchmark::State& state) {
 }
 BENCHMARK(BM_SlowFastInference)->Unit(benchmark::kMillisecond);
 
+// Whole-model batched inference, as the serving decider runs it: one
+// forward over N stacked windows (Arg = N).
+void BM_SlowFastForward(benchmark::State& state) {
+  models::SlowFast model(models::SlowFastConfig{});
+  const Tensor clips = random_tensor({static_cast<int>(state.range(0)), 1, 32, 24, 36}, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.forward(clips, false));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SlowFastForward)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
 void BM_C3DInference(benchmark::State& state) {
   model_inference<models::C3D>(state, models::C3DConfig{});
 }

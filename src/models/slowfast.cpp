@@ -11,8 +11,15 @@ using nn::Tensor;
 
 nn::Tensor ConvBNReLU3D::forward(const nn::Tensor& x, bool training) {
   Tensor y = conv.forward(x, training);
-  y = bn.forward(y, training);
-  relu_input_ = y;
+  // Backward's ReLU mask; an inference forward keeps nothing, and
+  // normalizes the conv output in place.
+  if (training) {
+    y = bn.forward(y, true);
+    relu_input_ = y;
+  } else {
+    y = bn.infer(std::move(y));
+    relu_input_ = Tensor();
+  }
   for (std::size_t i = 0; i < y.numel(); ++i) {
     if (y[i] < 0.0f) y[i] = 0.0f;
   }
@@ -20,6 +27,11 @@ nn::Tensor ConvBNReLU3D::forward(const nn::Tensor& x, bool training) {
 }
 
 nn::Tensor ConvBNReLU3D::backward(const nn::Tensor& grad) {
+  if (relu_input_.numel() != grad.numel()) {
+    throw std::logic_error(
+        "ConvBNReLU3D: backward requires a preceding forward with training=true "
+        "(inference forwards keep no backward state)");
+  }
   Tensor g = grad;
   for (std::size_t i = 0; i < g.numel(); ++i) {
     if (relu_input_[i] <= 0.0f) g[i] = 0.0f;

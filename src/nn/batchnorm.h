@@ -12,6 +12,10 @@ class BatchNorm final : public Layer {
   explicit BatchNorm(int channels, float momentum = 0.1f, float eps = 1e-5f);
 
   Tensor forward(const Tensor& input, bool training) override;
+  /// The inference forward: normalizes x in place with the running
+  /// statistics. forward(x, false) runs it on a copy; pass an rvalue to
+  /// skip the copy, as ConvBNReLU3D does with its conv output.
+  Tensor infer(Tensor x);
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> buffers() override { return {&running_mean_, &running_var_}; }
@@ -20,6 +24,8 @@ class BatchNorm final : public Layer {
   int channels() const { return channels_; }
 
  private:
+  void check_input(const Tensor& input) const;
+
   int channels_;
   float momentum_;
   float eps_;
@@ -28,9 +34,9 @@ class BatchNorm final : public Layer {
   Tensor running_mean_;
   Tensor running_var_;
 
-  // Cached forward state for backward.
+  // Backward state, written only by training forwards (in_shape_ is
+  // empty after an inference forward).
   Tensor cached_xhat_;
-  std::vector<float> cached_mean_;
   std::vector<float> cached_inv_std_;
   std::vector<int> in_shape_;
 };

@@ -48,16 +48,27 @@ Tensor Conv3D::forward(const Tensor& input, bool training) {
     throw std::invalid_argument("Conv3D: expected (N, " + std::to_string(config_.in_channels) +
                                 ", T, H, W), got " + input.shape_str());
   }
-  cached_input_ = input;
   const int ot = out_size(input.dim(2), config_.kernel_t, config_.stride_t, config_.pad_t);
   const int oh = out_size(input.dim(3), config_.kernel_s, config_.stride_s, config_.pad_s);
   const int ow = out_size(input.dim(4), config_.kernel_s, config_.stride_s, config_.pad_s);
   if (ot <= 0 || oh <= 0 || ow <= 0) throw std::invalid_argument("Conv3D: output would be empty");
+  // Only backward reads the input; an inference forward keeps nothing.
+  if (training) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
+  }
+  backward_ready_ = training;
   return backend_ == ConvBackend::kDirect ? forward_direct(input)
                                           : forward_gemm(input, training);
 }
 
 Tensor Conv3D::backward(const Tensor& grad_output) {
+  if (!backward_ready_) {
+    throw std::logic_error(
+        "Conv3D: backward requires a preceding forward with training=true "
+        "(inference forwards keep no backward state)");
+  }
   return backend_ == ConvBackend::kDirect ? backward_direct(grad_output)
                                           : backward_gemm(grad_output);
 }
@@ -66,97 +77,109 @@ Tensor Conv3D::backward(const Tensor& grad_output) {
 // im2col + GEMM backend (see conv2d.cpp for the decomposition; identical
 // here with (T, H, W) receptive fields).
 
+namespace {
+
+// The lowering geometry of one forward or backward over `input`.
+Im2ColGeom3D geometry(const Conv3DConfig& c, const Tensor& input) {
+  const int t = input.dim(2), h = input.dim(3), w = input.dim(4);
+  return {input.dim(1),
+          t,
+          h,
+          w,
+          c.kernel_t,
+          c.kernel_s,
+          c.stride_t,
+          c.stride_s,
+          c.pad_t,
+          c.pad_s,
+          Conv3D::out_size(t, c.kernel_t, c.stride_t, c.pad_t),
+          Conv3D::out_size(h, c.kernel_s, c.stride_s, c.pad_s),
+          Conv3D::out_size(w, c.kernel_s, c.stride_s, c.pad_s)};
+}
+
+// A lowered tile this small stays in L2 between im2col writing it and
+// the GEMM reading it back.
+constexpr std::size_t kTileBytes = 128 * 1024;
+
+// Output planes per forward job: as many as fit kTileBytes, then fewer
+// until the batch spreads over the pool (two jobs per worker).
+int planes_per_tile(const Im2ColGeom3D& g, int n) {
+  const std::size_t plane_bytes =
+      static_cast<std::size_t>(g.rows()) * g.oh * g.ow * sizeof(float);
+  int per = static_cast<int>(
+      std::clamp<std::size_t>(kTileBytes / plane_bytes, 1, static_cast<std::size_t>(g.ot)));
+  const std::size_t want = 2 * ThreadPool::global().size();
+  while (per > 1 && static_cast<std::size_t>(n) * ((g.ot + per - 1) / per) < want) {
+    per = (per + 1) / 2;
+  }
+  return per;
+}
+
+}  // namespace
+
+// One pool dispatch per layer. Each job owns one batch item's output
+// planes [oz0, oz1): it lowers just that tile, multiplies it by the
+// weights on its own thread and adds the bias, all while the tile is in
+// cache. The bits match a whole-panel sgemm per item: k is never split,
+// the kKc slabs, microkernel and store are the same, and the bias still
+// lands after the last slab, so no output's reduction order changes.
 Tensor Conv3D::forward_gemm(const Tensor& input, bool training) {
-  const int n = input.dim(0), c_in = input.dim(1), t = input.dim(2), h = input.dim(3),
-            w = input.dim(4);
+  const int n = input.dim(0);
   const int c_out = config_.out_channels;
-  const Im2ColGeom3D g{c_in,
-                       t,
-                       h,
-                       w,
-                       config_.kernel_t,
-                       config_.kernel_s,
-                       config_.stride_t,
-                       config_.stride_s,
-                       config_.pad_t,
-                       config_.pad_s,
-                       out_size(t, config_.kernel_t, config_.stride_t, config_.pad_t),
-                       out_size(h, config_.kernel_s, config_.stride_s, config_.pad_s),
-                       out_size(w, config_.kernel_s, config_.stride_s, config_.pad_s)};
+  const Im2ColGeom3D g = geometry(config_, input);
   const int rows = g.rows();
   const std::size_t cols = g.cols();
+  const std::size_t plane = static_cast<std::size_t>(g.oh) * g.ow;
   const std::size_t per_item = static_cast<std::size_t>(rows) * cols;
-
-  // Training keeps the lowering for backward's weight gradient; inference
-  // lowers into reusable thread-local arena scratch (see conv2d.cpp).
-  ScratchArena& arena = ScratchArena::local();
-  ScratchArena::Scope scope(arena);
-  float* col;
-  if (training) {
-    if (col_.size() < static_cast<std::size_t>(n) * per_item) {
-      col_.resize(static_cast<std::size_t>(n) * per_item);
-    }
-    col = col_.data();
-    col_valid_ = true;
-  } else {
-    col = arena.floats(static_cast<std::size_t>(n) * per_item);
-    col_valid_ = false;
+  // Training lowers into the retained panel, at the offsets backward's
+  // weight gradient reads; inference lowers into per-thread scratch.
+  if (training && col_.size() < static_cast<std::size_t>(n) * per_item) {
+    col_.resize(static_cast<std::size_t>(n) * per_item);
   }
-
-  const float* x = input.data();
-  const std::size_t in_chan = static_cast<std::size_t>(t) * h * w;
-  ThreadPool::global().parallel_for(static_cast<std::size_t>(n) * c_in, [&](std::size_t job) {
-    const int bi = static_cast<int>(job) / c_in;
-    const int ic = static_cast<int>(job) % c_in;
-    im2col_3d(x + static_cast<std::size_t>(bi) * c_in * in_chan, g, ic * g.rows_per_channel(),
-              (ic + 1) * g.rows_per_channel(), col + bi * per_item);
-  });
 
   Tensor out({n, c_out, g.ot, g.oh, g.ow});
+  const float* x = input.data();
+  const float* wgt = weight_.value.data();
+  const float* b = config_.bias ? bias_.value.data() : nullptr;
   float* y = out.data();
-  for (int bi = 0; bi < n; ++bi) {
-    sgemm(Trans::kNo, Trans::kNo, c_out, static_cast<int>(cols), rows, 1.0f,
-          weight_.value.data(), rows, col + bi * per_item, static_cast<int>(cols), 0.0f,
-          y + static_cast<std::size_t>(bi) * c_out * cols, static_cast<int>(cols));
-  }
+  const std::size_t in_item = static_cast<std::size_t>(g.c_in) * g.t * g.h * g.w;
+  const int per_tile = planes_per_tile(g, n);
+  const int tiles = (g.ot + per_tile - 1) / per_tile;
+  ThreadPool::global().parallel_for(static_cast<std::size_t>(n) * tiles, [&](std::size_t job) {
+    const int bi = static_cast<int>(job) / tiles;
+    const int oz0 = static_cast<int>(job) % tiles * per_tile;
+    const int oz1 = std::min(g.ot, oz0 + per_tile);
+    const std::size_t off = static_cast<std::size_t>(oz0) * plane;
+    const std::size_t width = static_cast<std::size_t>(oz1 - oz0) * plane;
 
-  if (config_.bias) {
-    const float* b = bias_.value.data();
-    ThreadPool::global().parallel_for(static_cast<std::size_t>(n) * c_out, [&](std::size_t job) {
-      const float bv = b[job % c_out];
-      float* row = y + job * cols;
-      for (std::size_t m = 0; m < cols; ++m) row[m] += bv;
-    });
-  }
+    ScratchArena& arena = ScratchArena::local();
+    ScratchArena::Scope scope(arena);
+    float* col = training ? col_.data() + bi * per_item + off
+                          : arena.floats(static_cast<std::size_t>(rows) * width);
+    const std::size_t ld = training ? cols : width;
+    im2col_3d(x + bi * in_item, g, oz0, oz1, col, ld);
+
+    float* y_tile = y + static_cast<std::size_t>(bi) * c_out * cols + off;
+    sgemm_serial(Trans::kNo, Trans::kNo, c_out, static_cast<int>(width), rows, 1.0f, wgt, rows,
+                 col, static_cast<int>(ld), 0.0f, y_tile, static_cast<int>(cols));
+    if (b != nullptr) {
+      for (int oc = 0; oc < c_out; ++oc) {
+        float* row = y_tile + static_cast<std::size_t>(oc) * cols;
+        for (std::size_t m = 0; m < width; ++m) row[m] += b[oc];
+      }
+    }
+  });
   return out;
 }
 
 Tensor Conv3D::backward_gemm(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
-  const int n = input.dim(0), c_in = input.dim(1), t = input.dim(2), h = input.dim(3),
-            w = input.dim(4);
+  const int n = input.dim(0);
   const int c_out = config_.out_channels;
-  const Im2ColGeom3D g{c_in,
-                       t,
-                       h,
-                       w,
-                       config_.kernel_t,
-                       config_.kernel_s,
-                       config_.stride_t,
-                       config_.stride_s,
-                       config_.pad_t,
-                       config_.pad_s,
-                       grad_output.dim(2),
-                       grad_output.dim(3),
-                       grad_output.dim(4)};
+  const Im2ColGeom3D g = geometry(config_, input);
   const int rows = g.rows();
   const std::size_t cols = g.cols();
   const std::size_t per_item = static_cast<std::size_t>(rows) * cols;
-  if (!col_valid_) {
-    throw std::logic_error(
-        "Conv3D: backward requires a preceding forward with training=true "
-        "(inference forwards do not retain the im2col lowering)");
-  }
   ScratchArena& arena = ScratchArena::local();
   ScratchArena::Scope scope(arena);
   float* col_grad = arena.floats(per_item);
@@ -182,15 +205,15 @@ Tensor Conv3D::backward_gemm(const Tensor& grad_output) {
           col_.data() + bi * per_item, static_cast<int>(cols), 1.0f, gw, rows);
   }
 
-  Tensor grad_input({n, c_in, t, h, w}, 0.0f);
+  Tensor grad_input(input.shape(), 0.0f);
   float* gi = grad_input.data();
-  const std::size_t in_chan = static_cast<std::size_t>(t) * h * w;
+  const std::size_t in_item = static_cast<std::size_t>(g.c_in) * g.t * g.h * g.w;
   for (int bi = 0; bi < n; ++bi) {
     sgemm(Trans::kTrans, Trans::kNo, rows, static_cast<int>(cols), c_out, 1.0f,
           weight_.value.data(), rows, go + static_cast<std::size_t>(bi) * c_out * cols,
           static_cast<int>(cols), 0.0f, col_grad, static_cast<int>(cols));
-    float* gi_b = gi + static_cast<std::size_t>(bi) * c_in * in_chan;
-    ThreadPool::global().parallel_for(static_cast<std::size_t>(c_in), [&](std::size_t ic) {
+    float* gi_b = gi + bi * in_item;
+    ThreadPool::global().parallel_for(static_cast<std::size_t>(g.c_in), [&](std::size_t ic) {
       col2im_3d(col_grad, g, static_cast<int>(ic) * g.rows_per_channel(),
                 (static_cast<int>(ic) + 1) * g.rows_per_channel(), gi_b);
     });

@@ -3,9 +3,10 @@
 //
 // The workhorse of the SlowFast pathways and the C3D baseline: temporal
 // kernel x spatial kernel with independent strides, zero padding.
-// Two backends (see conv_backend.h): the default lowers each clip with
-// im2col_3d and runs a cache-blocked GEMM; kDirect keeps the original
-// range-clipped loops as a parity oracle.
+// Two backends (see conv_backend.h): the default lowers the batch one
+// tile of output planes at a time with im2col_3d and multiplies each
+// tile while it is in cache; kDirect keeps the original range-clipped
+// loops as a parity oracle.
 
 #include <vector>
 
@@ -54,12 +55,12 @@ class Conv3D final : public Layer {
   ConvBackend backend_;
   Param weight_;  // (out_c, in_c, kt, ks, ks)
   Param bias_;    // (out_c)
+  // Backward state, written only by training forwards: the input, and
+  // for the GEMM backend the lowered batch for the weight gradient.
+  // Inference forwards lower into per-thread ScratchArena tiles instead.
   Tensor cached_input_;
-  // GEMM-backend state: training forwards keep the lowered batch here for
-  // backward's weight gradient; inference forwards lower into the calling
-  // thread's ScratchArena (see conv2d.h).
   std::vector<float> col_;
-  bool col_valid_ = false;
+  bool backward_ready_ = false;
 };
 
 }  // namespace safecross::nn

@@ -147,23 +147,46 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
   }
 }
 
+// One C macro-tile [i0, i1) x [j0, j1) through the selected kernel.
+void run_tile(GemmKernel kernel, Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1,
+              int k, float alpha, const float* a, int lda, const float* b, int ldb, float beta,
+              float* c, int ldc) {
+  switch (kernel) {
+    case GemmKernel::kScalar:
+      scalar_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
+      break;
+    case GemmKernel::kFp16:
+      packed_tile<true>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
+      break;
+    default:
+      packed_tile<false>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c,
+                         ldc);
+      break;
+  }
+}
+
+// Shared argument checks and degenerate shapes. Returns true when C is
+// already final (empty, or k == 0 so only the beta scaling applies).
+bool degenerate(int m, int n, int k, float beta, float* c, int ldc) {
+  if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm: negative dimension");
+  if (m == 0 || n == 0) return true;
+  if (k != 0) return false;
+  for (int i = 0; i < m; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * ldc;
+    if (beta == 0.0f) {
+      std::fill(crow, crow + n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (int j = 0; j < n; ++j) crow[j] *= beta;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const float* a, int lda,
            const float* b, int ldb, float beta, float* c, int ldc, GemmKernel kernel) {
-  if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm: negative dimension");
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    for (int i = 0; i < m; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * ldc;
-      if (beta == 0.0f) {
-        std::fill(crow, crow + n, 0.0f);
-      } else if (beta != 1.0f) {
-        for (int j = 0; j < n; ++j) crow[j] *= beta;
-      }
-    }
-    return;
-  }
+  if (degenerate(m, n, k, beta, c, ldc)) return;
   const GemmKernel resolved = resolve_gemm_kernel(kernel);
 
   // Tile C in 2-D; start from cache-friendly macro-tiles and shrink until
@@ -196,20 +219,24 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
     const int tj = static_cast<int>(tile) % tiles_n;
     const int i0 = ti * tm, i1 = std::min(m, i0 + tm);
     const int j0 = tj * tn, j1 = std::min(n, j0 + tn);
-    switch (resolved) {
-      case GemmKernel::kScalar:
-        scalar_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
-        break;
-      case GemmKernel::kFp16:
-        packed_tile<true>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c,
-                          ldc);
-        break;
-      default:
-        packed_tile<false>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c,
-                           ldc);
-        break;
-    }
+    run_tile(resolved, trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
   });
+}
+
+void sgemm_serial(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const float* a,
+                  int lda, const float* b, int ldb, float beta, float* c, int ldc,
+                  GemmKernel kernel) {
+  if (degenerate(m, n, k, beta, c, ldc)) return;
+  const GemmKernel resolved = resolve_gemm_kernel(kernel);
+  const bool scalar = resolved == GemmKernel::kScalar;
+  const int tm = scalar ? 64 : detail::kMc;
+  const int tn = scalar ? 256 : detail::kNc;
+  for (int i0 = 0; i0 < m; i0 += tm) {
+    for (int j0 = 0; j0 < n; j0 += tn) {
+      run_tile(resolved, trans_a, trans_b, i0, std::min(m, i0 + tm), j0, std::min(n, j0 + tn), k,
+               alpha, a, lda, b, ldb, beta, c, ldc);
+    }
+  }
 }
 
 }  // namespace safecross::nn

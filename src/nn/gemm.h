@@ -58,4 +58,12 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
            const float* b, int ldb, float beta, float* c, int ldc,
            GemmKernel kernel = GemmKernel::kAuto);
 
+/// sgemm on the calling thread only: the same kernel dispatch, k-slabs
+/// and microkernel, so every C element has the bits sgemm would give it.
+/// For callers that already run independent GEMMs in parallel (the
+/// Conv3D forward multiplies one output tile per pool job).
+void sgemm_serial(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const float* a,
+                  int lda, const float* b, int ldb, float beta, float* c, int ldc,
+                  GemmKernel kernel = GemmKernel::kAuto);
+
 }  // namespace safecross::nn

@@ -85,21 +85,21 @@ void col2im_2d(const float* col, const Im2ColGeom2D& g, int row_begin, int row_e
   }
 }
 
-void im2col_3d(const float* x, const Im2ColGeom3D& g, int row_begin, int row_end, float* col) {
-  const std::size_t cols = g.cols();
+void im2col_3d(const float* x, const Im2ColGeom3D& g, int oz_begin, int oz_end, float* col,
+               std::size_t ld) {
   const std::size_t plane = static_cast<std::size_t>(g.oh) * g.ow;
   const int ks2 = g.kernel_s * g.kernel_s;
   const int per_c = g.rows_per_channel();
-  for (int r = row_begin; r < row_end; ++r) {
+  for (int r = 0; r < g.rows(); ++r) {
     const int ic = r / per_c;
     const int kz = (r % per_c) / ks2;
     const int ky = (r % ks2) / g.kernel_s;
     const int kx = r % g.kernel_s;
     const float* xc = x + static_cast<std::size_t>(ic) * g.t * g.h * g.w;
-    float* crow = col + static_cast<std::size_t>(r) * cols;
-    for (int oz = 0; oz < g.ot; ++oz) {
+    float* crow = col + static_cast<std::size_t>(r) * ld;
+    for (int oz = oz_begin; oz < oz_end; ++oz) {
       const int iz = oz * g.stride_t - g.pad_t + kz;
-      float* dst_plane = crow + static_cast<std::size_t>(oz) * plane;
+      float* dst_plane = crow + static_cast<std::size_t>(oz - oz_begin) * plane;
       if (iz < 0 || iz >= g.t) {
         std::fill(dst_plane, dst_plane + plane, 0.0f);
         continue;

@@ -8,10 +8,12 @@
 // flattened conv weight times this matrix is exactly the conv output.
 // col2im is the adjoint scatter-add used by the backward pass.
 //
-// All functions take an explicit [row_begin, row_end) range so callers
-// can partition the lowering across the thread pool; ranges aligned to
-// whole channels touch disjoint input channels, making the col2im
-// scatter race-free under that partitioning.
+// The 2-D functions and col2im_3d take an explicit [row_begin, row_end)
+// range so callers can partition the work across the thread pool; ranges
+// aligned to whole channels touch disjoint input channels, making the
+// col2im scatter race-free under that partitioning. im2col_3d instead
+// takes a range of output planes, so the Conv3D forward can lower one
+// cache-sized tile at a time and multiply it while it is still hot.
 
 #include <cstddef>
 
@@ -46,7 +48,13 @@ void im2col_2d(const float* x, const Im2ColGeom2D& g, int row_begin, int row_end
 /// the caller before the first row range is applied.
 void col2im_2d(const float* col, const Im2ColGeom2D& g, int row_begin, int row_end, float* gx);
 
-void im2col_3d(const float* x, const Im2ColGeom3D& g, int row_begin, int row_end, float* col);
+/// Fill every row of the col matrix for output planes [oz_begin, oz_end)
+/// of clip x (C,T,H,W): the tile's columns, (oz_end - oz_begin) * oh * ow
+/// of them, starting at col, with row r at col + r * ld. Pass ld =
+/// g.cols() and col offset by oz_begin * oh * ow to write a tile in place
+/// inside the whole-clip matrix, or ld = tile width for a packed tile.
+void im2col_3d(const float* x, const Im2ColGeom3D& g, int oz_begin, int oz_end, float* col,
+               std::size_t ld);
 void col2im_3d(const float* col, const Im2ColGeom3D& g, int row_begin, int row_end, float* gx);
 
 }  // namespace safecross::nn

@@ -268,7 +268,7 @@ Journal::ReplayReport Journal::replay(const std::filesystem::path& path) {
     const char* payload = bytes.data() + pos + 4;
     std::uint32_t stored_crc = 0;
     std::memcpy(&stored_crc, payload + len, 4);
-    if (common::crc32(payload, len) != stored_crc) {
+    if (common::crc32(payload, static_cast<std::size_t>(len)) != stored_crc) {
       report.tail_error = "record checksum mismatch";
       break;
     }

@@ -175,7 +175,16 @@ void RecalibrationLoop::load_state(common::StateReader& r) {
   pending_record_.drift_px = r.f64();
   pending_record_.attempts = r.u32();
   countdown_ = static_cast<std::size_t>(r.u64());
-  completed_.resize(static_cast<std::size_t>(r.u64()));
+  // The entry count is untrusted: bound it by the bytes that are left
+  // before sizing anything from it.
+  constexpr std::size_t kEntryBytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+                                      sizeof(RecalibrationEntry::image_to_grid) +
+                                      2 * sizeof(double);
+  const std::uint64_t entries = r.u64();
+  if (entries > r.remaining() / kEntryBytes) {
+    throw common::StateError("recalibration: completed-entry count exceeds the payload");
+  }
+  completed_.resize(static_cast<std::size_t>(entries));
   for (RecalibrationEntry& e : completed_) {
     e.stream = r.u32();
     e.frame = r.u64();

@@ -180,7 +180,9 @@ TEST(FleetController, NoKillRunReconcilesAndHeartbeats) {
     EXPECT_EQ(s.first_shard, s.final_shard);
     // Rain scenes may legitimately never surface a waiting subject, so
     // only the Daytime streams are required to have decided.
-    if (i % 2 == 0) EXPECT_GT(s.decisions, 0u) << s.name << " never decided";
+    if (i % 2 == 0) {
+      EXPECT_GT(s.decisions, 0u) << s.name << " never decided";
+    }
   }
   for (const ShardSummary& sh : report.shards) {
     if (sh.incarnations == 0) continue;  // shard was never placed a stream

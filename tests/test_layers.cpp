@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "gradcheck.h"
 #include "nn/activations.h"
@@ -205,6 +206,22 @@ TEST(Conv3D, BackendParityOddStridePadding) {
   expect_conv3d_backend_parity(cfg, {2, 3, 7, 11, 9}, 203);
 }
 
+TEST(Conv3D, BackwardAfterInferenceForwardThrows) {
+  for (const ConvBackend backend : {ConvBackend::kIm2col, ConvBackend::kDirect}) {
+    Conv3DConfig cfg;
+    cfg.in_channels = 2;
+    cfg.out_channels = 3;
+    cfg.backend = backend;
+    Conv3D conv(cfg);
+    const Tensor x = random_tensor({2, 2, 4, 5, 6}, 204);
+    const Tensor y = conv.forward(x, true);
+    EXPECT_NO_THROW(conv.backward(y));
+    // An inference forward drops the training state, even one left over.
+    conv.forward(x, false);
+    EXPECT_THROW(conv.backward(y), std::logic_error);
+  }
+}
+
 TEST(ConvBackend, EnvVarSelectsBackend) {
   Conv2DConfig cfg;  // backend left at kAuto
 
@@ -340,6 +357,15 @@ TEST(BatchNorm, EvalUsesRunningStats) {
   const Tensor eval_out = bn.forward(in, false);
   EXPECT_NEAR(eval_out[0], -1.3416f, 1e-2);
   EXPECT_NEAR(eval_out[3], 1.3416f, 1e-2);
+}
+
+TEST(BatchNorm, BackwardAfterInferenceForwardThrows) {
+  BatchNorm bn(2);
+  const Tensor x = random_tensor({3, 2, 5}, 42);
+  const Tensor y = bn.forward(x, true);
+  EXPECT_NO_THROW(bn.backward(y));
+  bn.forward(x, false);
+  EXPECT_THROW(bn.backward(y), std::logic_error);
 }
 
 TEST(BatchNorm, BuffersExposeRunningStats) {

@@ -1,14 +1,18 @@
 // Property-based tests of the nn substrate, swept with TEST_P.
 
+#include <cstring>
 #include <sstream>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/rng.h"
+#include "models/slowfast.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/conv3d.h"
+#include "nn/gemm.h"
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -103,6 +107,139 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Conv3DGeometry,
                                            Conv3DCase{1, 2, 5, 1, 1, 1, 2, 0, 12, 5, 5},
                                            Conv3DCase{2, 2, 4, 1, 4, 1, 0, 0, 16, 4, 6},
                                            Conv3DCase{3, 1, 3, 3, 2, 2, 1, 1, 9, 9, 9}));
+
+// ---------- Conv3D tile parity: the GEMM forward's bits do not depend on
+// the batch size, the mode, or how the output planes are tiled ----------
+
+struct TileCase {
+  int n, in_c, out_c, kt, ks, st, ss, pt, ps, t, h, w;
+
+  int rows() const { return in_c * kt * ks * ks; }
+  int cols() const {
+    return Conv3D::out_size(t, kt, st, pt) * Conv3D::out_size(h, ks, ss, ps) *
+           Conv3D::out_size(w, ks, ss, ps);
+  }
+};
+
+TileCase random_tile_case(std::uint64_t seed) {
+  Rng rng(seed);
+  TileCase c;
+  c.n = rng.uniform_int(1, 9);
+  c.in_c = rng.uniform_int(1, 13);
+  c.out_c = rng.uniform_int(1, 14);
+  c.kt = rng.uniform_int(1, 5);
+  c.ks = rng.uniform_int(0, 1) == 0 ? 1 : 3;
+  c.st = rng.uniform_int(1, 3);
+  c.ss = rng.uniform_int(1, 2);
+  c.pt = rng.uniform_int(0, c.kt / 2);
+  c.ps = c.ks / 2;
+  c.t = rng.uniform_int(c.kt, 12);
+  c.h = rng.uniform_int(c.ks, 11);
+  c.w = rng.uniform_int(c.ks, 13);
+  return c;
+}
+
+constexpr std::uint64_t kTileSeeds[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,
+                                        13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24};
+
+class Conv3DTileParity : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(Conv3DTileParity, InferenceTrainingAndPerItemForwardsAreBitIdentical) {
+  const TileCase c = random_tile_case(GetParam());
+  Conv3DConfig cfg;
+  cfg.in_channels = c.in_c;
+  cfg.out_channels = c.out_c;
+  cfg.kernel_t = c.kt;
+  cfg.kernel_s = c.ks;
+  cfg.stride_t = c.st;
+  cfg.stride_s = c.ss;
+  cfg.pad_t = c.pt;
+  cfg.pad_s = c.ps;
+  cfg.backend = ConvBackend::kIm2col;
+  Conv3D conv(cfg);
+  Rng rng(GetParam() ^ 0x7Au);
+  init_params(conv.params(), rng);
+  // init_params zeroes biases; give them values so the bias add is covered.
+  Tensor& bias = conv.params()[1]->value;
+  for (std::size_t i = 0; i < bias.numel(); ++i) bias[i] = static_cast<float>(rng.uniform(-1, 1));
+
+  const Tensor x = random_tensor({c.n, c.in_c, c.t, c.h, c.w}, GetParam() + 100);
+  const Tensor inference = conv.forward(x, false);
+  const Tensor training = conv.forward(x, true);
+  ASSERT_EQ(inference.shape(), training.shape());
+  const std::size_t bytes = inference.numel() * sizeof(float);
+  EXPECT_EQ(std::memcmp(inference.data(), training.data(), bytes), 0)
+      << "training forward differs from inference";
+
+  const std::size_t in_item = x.numel() / static_cast<std::size_t>(c.n);
+  const std::size_t out_item = inference.numel() / static_cast<std::size_t>(c.n);
+  for (int bi = 0; bi < c.n; ++bi) {
+    Tensor xi({1, c.in_c, c.t, c.h, c.w});
+    std::memcpy(xi.data(), x.data() + bi * in_item, in_item * sizeof(float));
+    const Tensor yi = conv.forward(xi, false);
+    ASSERT_EQ(yi.numel(), out_item);
+    EXPECT_EQ(std::memcmp(yi.data(), inference.data() + bi * out_item, out_item * sizeof(float)),
+              0)
+        << "item " << bi << " forwarded alone differs from the batched forward";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGeometry, Conv3DTileParity, ::testing::ValuesIn(kTileSeeds));
+
+// The sweep above must reach every corner where a tiling bug could hide:
+// c_out on both sides of the microkernel's 6 rows, k past one 256-row
+// slab, output sizes off the 16-lane grid, strided and padded time axes,
+// and batches from 1 to 9.
+TEST(Conv3DTileParitySweep, CoversTheTilingCorners) {
+  bool narrow = false, wide = false, multi_slab = false, ragged = false, strided_padded = false;
+  bool single = false, nine = false;
+  for (const std::uint64_t seed : kTileSeeds) {
+    const TileCase c = random_tile_case(seed);
+    narrow |= c.out_c < 6;
+    wide |= c.out_c > 6;
+    multi_slab |= c.rows() > 256;
+    ragged |= c.cols() % 16 != 0;
+    strided_padded |= c.st > 1 && c.pt > 0;
+    single |= c.n == 1;
+    nine |= c.n == 9;
+  }
+  EXPECT_TRUE(narrow);
+  EXPECT_TRUE(wide);
+  EXPECT_TRUE(multi_slab);
+  EXPECT_TRUE(ragged);
+  EXPECT_TRUE(strided_padded);
+  EXPECT_TRUE(single);
+  EXPECT_TRUE(nine);
+}
+
+// SlowFast logits for fixed weights and clips, CRC'd and compared with
+// values recorded before the conv forward was tiled. The bits depend on
+// the GEMM kernel and on whether the build contracts multiply-adds into
+// FMA, so one value is pinned per combination.
+TEST(Conv3DTileParitySweep, SlowFastOutputsMatchPinnedChecksum) {
+  const GemmKernel kernel = resolve_gemm_kernel(GemmKernel::kAuto);
+  if (kernel == GemmKernel::kFp16) GTEST_SKIP() << "no checksum pinned for the fp16 kernel";
+#if defined(__FMA__)
+  constexpr bool kFma = true;
+#else
+  constexpr bool kFma = false;
+#endif
+  std::uint32_t crc = 0;
+  for (const std::uint64_t init_seed : {21u, 22u, 23u}) {
+    models::SlowFastConfig cfg;
+    cfg.init_seed = init_seed;
+    models::SlowFast model(cfg);
+    for (const int n : {1, 2, 3, 5, 8}) {
+      const Tensor clips = random_tensor({n, 1, cfg.frames, 24, 36}, init_seed * 100 + n);
+      const Tensor scores = model.forward(clips, false);
+      crc = common::crc32(scores.data(), scores.numel() * sizeof(float), crc);
+    }
+  }
+  const std::uint32_t expected = kernel == GemmKernel::kScalar
+                                     ? (kFma ? 0x31893764u : 0xc51c8643u)
+                                     : (kFma ? 0x4bbf4236u : 0x24b9b618u);
+  EXPECT_EQ(crc, expected) << std::hex << "crc 0x" << crc;
+}
 
 // ---------- Softmax invariants over random logits ----------
 

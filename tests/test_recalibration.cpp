@@ -4,6 +4,7 @@
 // apply, failed-estimate retries, and checkpoint round-trips.
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -258,5 +259,28 @@ TEST(RecalibrationLoop, CheckpointRoundTripsMidCountdown) {
   for (int i = 0; i < 9; ++i) EXPECT_EQ(ca[0].image_to_grid[i], cb[0].image_to_grid[i]);
 }
 
+TEST(RecalibrationLoop, LoadRejectsAnEntryCountLargerThanThePayload) {
+  HealthMonitor health{HealthConfig{}};
+  RecalibrationLoop a(
+      test_config(), Homography(), &health,
+      [](const Homography&) { return good_estimate(Homography()); }, [](const Homography&) {});
+  common::StateWriter w;
+  a.save_state(w);
+  std::string bytes = w.take();
+
+  // With no completed entries the count is the u64 just before the four
+  // u64 counters and the f64 drift that end the state. Claim 2^40.
+  const std::size_t count_at = bytes.size() - 4 * 8 - 8 - 8;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + count_at, &huge, sizeof(huge));
+
+  RecalibrationLoop b(
+      test_config(), Homography(), &health,
+      [](const Homography&) { return good_estimate(Homography()); }, [](const Homography&) {});
+  common::StateReader r(bytes);
+  EXPECT_THROW(b.load_state(r), common::StateError);
+}
+
 }  // namespace
+
 }  // namespace safecross::runtime

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,15 @@ TEST(SlowFast, LateralAblationChangesParamCount) {
   // Both still produce valid logits.
   const nn::Tensor out = b.forward(random_tensor({1, 1, 16, 12, 18}, 3), false);
   EXPECT_EQ(out.shape(), (std::vector<int>{1, 2}));
+}
+
+TEST(SlowFast, BackwardAfterInferenceForwardThrows) {
+  SlowFast model(small_slowfast());
+  const nn::Tensor x = random_tensor({2, 1, 16, 12, 18}, 9);
+  const nn::Tensor scores = model.forward(x, true);
+  EXPECT_NO_THROW(model.backward(scores));
+  model.forward(x, false);
+  EXPECT_THROW(model.backward(scores), std::logic_error);
 }
 
 TEST(SlowFast, CloneProducesIdenticalOutputs) {
