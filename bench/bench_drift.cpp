@@ -21,11 +21,12 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
+#include "serving/stream_server.h"
 
 using namespace safecross;
 using namespace safecross::core;
@@ -78,6 +79,37 @@ runtime::FaultPlan plan_for_drift(double px_per_frame, std::size_t frames) {
   return plan;
 }
 
+/// Serve one daytime stream for `frames` frame slots (the sequential
+/// reference path at K = 1) and return the server for its scorecard.
+std::unique_ptr<serving::StreamServer> serve(SafeCross& sc, const serving::StreamConfig& stream,
+                                             std::size_t frames) {
+  serving::StreamServerConfig cfg;
+  cfg.frames = frames;
+  cfg.streams.push_back(stream);
+  auto server = std::make_unique<serving::StreamServer>(sc, cfg);
+  server->run_sequential();
+  return server;
+}
+
+serving::StreamConfig daytime_stream(std::uint64_t sim_seed) {
+  serving::StreamConfig stream;
+  stream.weather = dataset::Weather::Daytime;
+  stream.sim_seed = sim_seed;
+  stream.collector_seed = sim_seed + 1;
+  return stream;
+}
+
+void read_scorecard(const core::StreamScorecard& s, RunResult& r) {
+  r.decisions = s.decisions();
+  r.opportunities = s.decision_opportunities();
+  r.model_decisions = s.model_decisions();
+  r.fail_safe = s.fail_safe_decisions();
+  r.miscal_warns = s.fail_safe_by_source(runtime::DecisionSource::FailSafeMiscalibrated);
+  r.warnings = s.warnings();
+  r.missed_threats = s.missed_threats();
+  r.false_warnings = s.false_warnings();
+}
+
 RunResult run_arm(SafeCross& sc, bool recalib, double drift_rate, std::size_t frames,
                   std::uint64_t sim_seed) {
   RunResult r;
@@ -85,32 +117,23 @@ RunResult run_arm(SafeCross& sc, bool recalib, double drift_rate, std::size_t fr
   r.drift_rate = drift_rate;
   r.frames = frames;
   try {
-    sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-    const sim::CameraModel cam(sim.intersection().geometry());
-    const runtime::FaultPlan plan = plan_for_drift(drift_rate, frames);
+    serving::StreamConfig stream = daytime_stream(sim_seed);
+    stream.faults = plan_for_drift(drift_rate, frames);
     // Same injector seed in both arms: the drift trajectory is replayed
     // bit-for-bit, so any scorecard difference is the loop's doing.
-    runtime::FaultInjector injector(plan, /*seed=*/0xD21F7u);
-    MonitorConfig cfg;
-    cfg.recalib.enabled = recalib;
-    cfg.recalib.check_every_frames = 60;
-    RealtimeMonitor monitor(sc, sim, cam, cfg, /*seed=*/sim_seed + 1,
-                            plan.enabled() ? &injector : nullptr);
-    monitor.run(frames);
-    r.decisions = monitor.decisions();
-    r.opportunities = monitor.decision_opportunities();
-    r.model_decisions = monitor.model_decisions();
-    r.fail_safe = monitor.fail_safe_decisions();
-    r.miscal_warns = monitor.fail_safe_by_source(runtime::DecisionSource::FailSafeMiscalibrated);
-    r.warnings = monitor.warnings();
-    r.missed_threats = monitor.missed_threats();
-    r.false_warnings = monitor.false_warnings();
-    const runtime::RecalibrationLoop* loop = monitor.recalibration();
+    stream.fault_seed = 0xD21F7u;
+    stream.recalib.enabled = recalib;
+    stream.recalib.check_every_frames = 60;
+    const auto server = serve(sc, stream, frames);
+    const serving::StreamContext& ctx = server->stream(0);
+    read_scorecard(ctx.scorecard(), r);
+    const runtime::RecalibrationLoop* loop = ctx.recalibration();
     const vision::Homography applied =
         loop != nullptr ? loop->applied_view() : vision::Homography();
-    r.residual_drift_px = runtime::view_drift_px(applied, injector.view_perturbation(),
-                                                 cfg.recalib.frame_width,
-                                                 cfg.recalib.frame_height);
+    const vision::Homography truth =
+        ctx.injector() != nullptr ? ctx.injector()->view_perturbation() : vision::Homography();
+    r.residual_drift_px = runtime::view_drift_px(applied, truth, ctx.config().recalib.frame_width,
+                                                 ctx.config().recalib.frame_height);
     if (loop != nullptr) {
       r.episodes = loop->miscalibration_episodes();
       r.recalibrations = loop->recalibrations();
@@ -124,23 +147,13 @@ RunResult run_arm(SafeCross& sc, bool recalib, double drift_rate, std::size_t fr
   return r;
 }
 
-/// Plain run with no injector at all: the oracle for the parity guard.
+/// Plain run with no fault plan at all: the oracle for the parity guard.
 RunResult run_plain(SafeCross& sc, std::size_t frames, std::uint64_t sim_seed) {
   RunResult r = {};
   r.policy = "plain";
   r.frames = frames;
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  RealtimeMonitor monitor(sc, sim, cam, cfg, /*seed=*/sim_seed + 1, nullptr);
-  monitor.run(frames);
-  r.decisions = monitor.decisions();
-  r.opportunities = monitor.decision_opportunities();
-  r.model_decisions = monitor.model_decisions();
-  r.fail_safe = monitor.fail_safe_decisions();
-  r.warnings = monitor.warnings();
-  r.missed_threats = monitor.missed_threats();
-  r.false_warnings = monitor.false_warnings();
+  const auto server = serve(sc, daytime_stream(sim_seed), frames);
+  read_scorecard(server->stream(0).scorecard(), r);
   return r;
 }
 

@@ -1,10 +1,14 @@
-// Robustness sweep — the fault-injection harness applied to the live
-// warning pipeline. For each fault rate the same seeded fault sequence is
+// Robustness sweep — the fault-injection harness applied to one served
+// camera stream. For each fault rate the same seeded fault sequence is
 // replayed against two policy arms:
-//   * baseline  — fail-silent (the pre-robustness monitor): a gapped or
-//     corrupted window is classified like any other, or silently skipped;
-//   * fail-safe — the graceful-degradation runtime: untrustworthy windows
-//     produce a conservative warn tagged with a DecisionSource code.
+//   * baseline  — fail-silent (pre-robustness): a due decision classifies
+//     the raw rolling window whenever it is full, gapped or corrupted or
+//     not, and consults no health gate (a bench-local StreamContext loop);
+//   * fail-safe — the serving path (StreamServer at K = 1): untrustworthy
+//     windows produce a conservative warn tagged with a DecisionSource code.
+// A final arm fails every model swap: the stream's scheduled switch dies
+// before warm-up ends, and every decision must run fail-safe. The bench
+// exits non-zero if that arm records no switch failure.
 // Reports availability, missed-threat rate and false-warning rate per arm
 // and writes the sweep as JSON (default BENCH_robustness.json).
 //
@@ -17,7 +21,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
+#include "common/timer.h"
+#include "serving/stream_server.h"
 
 using namespace safecross;
 using namespace safecross::core;
@@ -68,32 +73,67 @@ runtime::FaultPlan plan_for_rate(double rate) {
   return plan;
 }
 
+serving::StreamConfig stream_for(const runtime::FaultPlan& plan, std::uint64_t sim_seed) {
+  serving::StreamConfig stream;
+  stream.weather = dataset::Weather::Daytime;
+  stream.sim_seed = sim_seed;
+  stream.collector_seed = sim_seed + 1;
+  stream.faults = plan;
+  // Same injector seed in every arm: the fault sequence is replayed
+  // bit-for-bit, so any scorecard difference is the policy's doing.
+  stream.fault_seed = 0xFA17u;
+  return stream;
+}
+
+/// The fail-silent baseline: only a full window gates the classifier,
+/// even when it is gapped or stale; no health gate is consulted.
+void run_fail_silent(SafeCross& sc, serving::StreamContext& ctx, std::size_t frames) {
+  const auto full = static_cast<std::size_t>(ctx.config().vp.frames_per_segment);
+  while (ctx.frames_run() < frames) {
+    const std::optional<serving::ReadyWindow> w = ctx.tick();
+    if (!w || ctx.collector().window().size() < full) continue;
+    const std::vector<vision::Image> window(ctx.collector().window().begin(),
+                                            ctx.collector().window().end());
+    Timer latency;
+    const SafeCross::Decision d = sc.classify_as(w->model_weather, window);
+    ctx.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source, latency.elapsed_ms());
+  }
+}
+
+void read_stream(const serving::StreamContext& ctx, RunResult& r) {
+  const StreamScorecard& s = ctx.scorecard();
+  r.decisions = s.decisions();
+  r.opportunities = s.decision_opportunities();
+  r.model_decisions = s.model_decisions();
+  r.fail_safe = s.fail_safe_decisions();
+  r.warnings = s.warnings();
+  r.missed_threats = s.missed_threats();
+  r.false_warnings = s.false_warnings();
+  if (const runtime::FaultInjector* injector = ctx.injector()) {
+    r.frames_dropped = injector->frames_dropped();
+    r.switch_failures = injector->switch_failures();
+  }
+}
+
 RunResult run_arm(SafeCross& sc, bool fail_safe_policy, double fault_rate,
-                  const runtime::FaultPlan& plan, int frames, std::uint64_t sim_seed) {
+                  const serving::StreamConfig& stream, int frames) {
   RunResult r;
   r.policy = fail_safe_policy ? "fail-safe" : "baseline";
   r.fault_rate = fault_rate;
   r.frames = static_cast<std::size_t>(frames);
   try {
-    sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-    const sim::CameraModel cam(sim.intersection().geometry());
-    // Same injector seed in both arms: the fault sequence is replayed
-    // bit-for-bit, so any scorecard difference is the policy's doing.
-    runtime::FaultInjector injector(plan, /*seed=*/0xFA17u);
-    MonitorConfig cfg;
-    cfg.fail_safe_policy = fail_safe_policy;
-    RealtimeMonitor monitor(sc, sim, cam, cfg, /*seed=*/sim_seed + 1,
-                            plan.enabled() ? &injector : nullptr);
-    for (int i = 0; i < frames; ++i) monitor.step();
-    r.decisions = monitor.decisions();
-    r.opportunities = monitor.decision_opportunities();
-    r.model_decisions = monitor.model_decisions();
-    r.fail_safe = monitor.fail_safe_decisions();
-    r.warnings = monitor.warnings();
-    r.missed_threats = monitor.missed_threats();
-    r.false_warnings = monitor.false_warnings();
-    r.frames_dropped = injector.frames_dropped();
-    r.switch_failures = injector.switch_failures();
+    if (fail_safe_policy) {
+      serving::StreamServerConfig cfg;
+      cfg.frames = r.frames;
+      cfg.streams.push_back(stream);
+      serving::StreamServer server(sc, cfg);
+      server.run_sequential();
+      read_stream(server.stream(0), r);
+    } else {
+      serving::StreamContext ctx(stream);
+      run_fail_silent(sc, ctx, r.frames);
+      read_stream(ctx, r);
+    }
   } catch (const std::exception& e) {
     ++r.uncaught_exceptions;
     std::printf("  !! uncaught exception (%s, rate %.2f): %s\n", r.policy.c_str(), fault_rate,
@@ -160,9 +200,9 @@ int main(int argc, char** argv) {
   const double rates[] = {0.0, 0.05, 0.10, 0.20};
   std::vector<RunResult> results;
   for (const double rate : rates) {
-    const auto plan = plan_for_rate(rate);
-    const auto baseline = run_arm(sc, /*fail_safe_policy=*/false, rate, plan, frames, 4242);
-    const auto failsafe = run_arm(sc, /*fail_safe_policy=*/true, rate, plan, frames, 4242);
+    const auto stream = stream_for(plan_for_rate(rate), 4242);
+    const auto baseline = run_arm(sc, /*fail_safe_policy=*/false, rate, stream, frames);
+    const auto failsafe = run_arm(sc, /*fail_safe_policy=*/true, rate, stream, frames);
     print_result(baseline);
     print_result(failsafe);
     results.push_back(baseline);
@@ -172,13 +212,21 @@ int main(int argc, char** argv) {
   bench::print_header("Model-switch failure: 10% drops + every swap attempt dies");
   auto hard_plan = plan_for_rate(0.10);
   hard_plan.switch_failure_prob = 1.0;
-  const auto switch_run =
-      run_arm(sc, /*fail_safe_policy=*/true, 0.10, hard_plan, frames, 4242);
+  auto hard_stream = stream_for(hard_plan, 4242);
+  // The scene turns to rain one second in, before warm-up ends: the swap
+  // dies, and no decision may trust a model after it.
+  hard_stream.model_schedule.push_back({30, dataset::Weather::Rain, 100.0});
+  const auto switch_run = run_arm(sc, /*fail_safe_policy=*/true, 0.10, hard_stream, frames);
   print_result(switch_run);
   results.push_back(switch_run);
-  std::printf("  every decision above ran fail-safe: the intersection kept its warning\n"
-              "  service (availability %.3f) with zero uncaught exceptions.\n",
+  const bool switch_failed = switch_run.switch_failures > 0;
+  std::printf("  %zu switch failure(s); %zu of %zu decisions ran fail-safe: the intersection\n"
+              "  kept its warning service (availability %.3f).\n",
+              switch_run.switch_failures, switch_run.fail_safe, switch_run.decisions,
               switch_run.availability());
+  if (!switch_failed) {
+    std::printf("  !! the switch-failure arm attempted no failing swap\n");
+  }
 
   int total_exceptions = 0;
   std::size_t shrunk = 0;
@@ -204,5 +252,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("  wrote %s\n", json_path.c_str());
-  return total_exceptions == 0 ? 0 : 1;
+  return total_exceptions == 0 && switch_failed ? 0 : 1;
 }

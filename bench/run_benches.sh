@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Run the google-benchmark micro-bench binaries and write one JSON file
 # per binary (BENCH_<name>.json) into the current directory. Also runs
-# the robustness fault sweep (bench_robustness_faults) and the staged-
-# pipeline sweep (bench_pipeline_robustness), which write
-# BENCH_robustness.json / BENCH_pipeline.json themselves.
+# the robustness, drift, serving, fleet and durability sweeps, each of
+# which writes its own BENCH_<sweep>.json.
 #
 # Usage:
 #   bench/run_benches.sh [--smoke] [build-dir]
@@ -79,7 +78,8 @@ fi
 
 # Fault-injection sweep: availability / missed-threat / false-warning per
 # fault rate, baseline vs fail-safe policy. Not a google-benchmark binary;
-# it writes its JSON itself and exits non-zero on any uncaught exception.
+# it writes its JSON itself and exits non-zero on any uncaught exception
+# or if its every-swap-dies arm records no switch failure.
 robustness_bin="$build_dir/bench/bench_robustness_faults"
 if [[ -x "$robustness_bin" ]]; then
   robustness_args=(--json BENCH_robustness.json)
@@ -104,21 +104,6 @@ if [[ -x "$drift_bin" ]]; then
   fi
   echo "== bench_drift -> BENCH_drift.json"
   "$drift_bin" "${drift_args[@]}"
-  ran=$((ran + 1))
-fi
-
-# Staged-pipeline sweep: sync reference vs supervised pipeline under
-# injected stage crashes and decide-stage overload. Writes its JSON itself;
-# exits non-zero on uncaught exceptions or a fault-free pipelined run that
-# diverges from the sync scorecard.
-pipeline_bin="$build_dir/bench/bench_pipeline_robustness"
-if [[ -x "$pipeline_bin" ]]; then
-  pipeline_args=(--json BENCH_pipeline.json)
-  if [[ $smoke -eq 1 ]]; then
-    pipeline_args+=(--frames 1800)  # one simulated minute per arm
-  fi
-  echo "== bench_pipeline_robustness -> BENCH_pipeline.json"
-  "$pipeline_bin" "${pipeline_args[@]}"
   ran=$((ran + 1))
 fi
 

@@ -5,8 +5,10 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "core/monitor.h"
+#include "common/timer.h"
+#include "core/safecross.h"
 #include "dataset/builder.h"
+#include "serving/stream.h"
 
 using namespace safecross;
 
@@ -28,36 +30,47 @@ int main() {
   std::printf("training on %zu segments...\n", train.size());
   sc.train_basic(train);
 
-  // Deploy on fresh traffic.
-  sim::TrafficSimulator live(sim::weather_params(dataset::Weather::Daytime), 987654);
-  const sim::CameraModel cam(live.intersection().geometry());
-  core::RealtimeMonitor monitor(sc, live, cam, core::MonitorConfig{}, 42);
+  // Deploy on fresh traffic: one camera stream, decided the moment each
+  // decision falls due.
+  serving::StreamConfig camera;
+  camera.weather = dataset::Weather::Daytime;
+  camera.sim_seed = 987654;
+  camera.collector_seed = 42;
+  serving::StreamContext stream(camera);
+  const sim::TrafficSimulator& live = stream.sim();
 
   std::printf("monitoring live traffic (20 sim-minutes)...\n\n");
   int printed = 0;
   while (live.time() < 20 * 60.0) {
-    const auto tick = monitor.step();
-    if (tick.decision_made && printed < 12) {
-      std::printf("  t=%7.1fs  blind=%d  P(danger)=%.2f -> %-18s truth=%s%s\n", tick.sim_time,
-                  tick.blind_area ? 1 : 0, tick.decision.prob_danger,
-                  tick.decision.warn ? "WARN (hold)" : "clear (turn ok)",
-                  tick.danger_truth ? "danger" : "safe",
-                  (tick.decision.predicted_class == 0) == tick.danger_truth ? ""
-                                                                            : "  <- wrong");
+    const std::optional<serving::ReadyWindow> w = stream.tick();
+    if (!w) continue;
+    Timer latency;
+    const core::SafeCross::Decision d =
+        w->gate == runtime::DecisionSource::Model
+            ? sc.classify_as(w->model_weather, w->window)
+            : core::SafeCross::fail_safe_decision(w->gate);
+    stream.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source, latency.elapsed_ms());
+    if (printed < 12) {
+      std::printf("  t=%7.1fs  blind=%d  P(danger)=%.2f -> %-18s truth=%s%s\n", live.time(),
+                  live.blind_area_present(camera.vp.approach) ? 1 : 0, d.prob_danger,
+                  d.warn ? "WARN (hold)" : "clear (turn ok)",
+                  w->danger_truth ? "danger" : "safe",
+                  (d.predicted_class == 0) == w->danger_truth ? "" : "  <- wrong");
       ++printed;
     }
   }
 
+  const core::StreamScorecard& score = stream.scorecard();
   std::printf("\nscorecard after %.0f sim-minutes:\n", live.time() / 60.0);
-  std::printf("  decisions        %zu\n", monitor.decisions());
-  std::printf("  warnings issued  %zu\n", monitor.warnings());
-  std::printf("  accuracy         %.3f\n", monitor.accuracy());
+  std::printf("  decisions        %zu\n", score.decisions());
+  std::printf("  warnings issued  %zu\n", score.warnings());
+  std::printf("  accuracy         %.3f\n", score.accuracy());
   std::printf("  missed threats   %zu (said safe while a threat approached)\n",
-              monitor.missed_threats());
+              score.missed_threats());
   std::printf("                   (these cluster at horizon-entry moments: a fast vehicle\n"
               "                    entering the camera's field of view is ground-truth danger\n"
               "                    a few frames before the occupancy window can show it)\n");
-  std::printf("  false warnings   %zu (held a turn that was safe)\n", monitor.false_warnings());
+  std::printf("  false warnings   %zu (held a turn that was safe)\n", score.false_warnings());
   std::printf("  left turns completed at the junction: %llu\n",
               static_cast<unsigned long long>(live.completed_turns()));
   return 0;

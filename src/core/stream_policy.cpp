@@ -121,6 +121,9 @@ void StreamScorecard::load_state(common::StateReader& r) {
   decision_opportunities_ = static_cast<std::size_t>(r.u64());
   for (std::size_t& n : by_source_) n = static_cast<std::size_t>(r.u64());
   const std::uint64_t n_lat = r.u64();
+  if (n_lat > r.remaining() / sizeof(double)) {
+    throw common::StateError("scorecard: latency count exceeds the payload");
+  }
   latencies_.clear();
   latencies_.reserve(static_cast<std::size_t>(n_lat));
   for (std::uint64_t i = 0; i < n_lat; ++i) latencies_.push_back(r.f64());

@@ -1,10 +1,5 @@
 #pragma once
-// Shared per-stream decision policy for the live warning paths.
-//
-// The synchronous RealtimeMonitor and the multi-stream serving layer
-// (serving::StreamServer) must agree *exactly* on three things, or their
-// verdicts drift apart and the batched-equals-sequential parity contract
-// breaks:
+// Per-stream decision policy for the live warning path:
 //
 //   * how a frame slot's fate (drop/freeze/noise/blackout) maps onto the
 //     SegmentCollector step and the HealthMonitor event stream;
@@ -12,10 +7,9 @@
 //   * how a delivered decision is scored against the simulator's ground
 //     truth.
 //
-// This header is the single home of that policy. RealtimeMonitor and the
-// serving StreamContext both call these functions, so a change here moves
-// every live path in lockstep — and the golden-trace suite pins the
-// combined behaviour.
+// serving::StreamContext runs every stream through these functions, in
+// batched and sequential serving alike, and the golden-trace suite pins
+// their combined behaviour.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,10 +1,11 @@
 #pragma once
-// Bounded MPMC queue connecting the staged monitor pipeline.
+// Bounded MPMC queue carrying ready windows from StreamServer's
+// per-stream producers to its deciding thread.
 //
-// The live warning path must never let one wedged stage grow an unbounded
-// backlog (memory) or stall the whole service (latency). Every hand-off
-// between pipeline stages therefore goes through a BoundedQueue with three
-// pressure-relief behaviours, all observable through counters:
+// The live warning path must never let one wedged thread grow an
+// unbounded backlog (memory) or stall the whole service (latency). Every
+// producer→decider hand-off therefore goes through a BoundedQueue with
+// three pressure-relief behaviours, all observable through counters:
 //
 //   * backpressure — push(item, timeout) blocks while the queue is full,
 //     so a briefly slow consumer throttles its producer instead of losing
@@ -18,7 +19,7 @@
 //
 // Thread-safe for any number of producers and consumers. Counters are
 // read under the same mutex, so they are exact whenever the queue is
-// quiescent (e.g. after the stage threads have been joined).
+// quiescent (e.g. after the producer threads have been joined).
 
 #include <chrono>
 #include <condition_variable>

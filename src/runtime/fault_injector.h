@@ -105,8 +105,9 @@ class FaultInjector {
   /// (the collector handles them) and None leaves the frame untouched.
   void perturb(vision::Image& frame);
 
-  /// Should the pending model-switch attempt fail? Wire this into
-  /// switching::ModelSwitcher's failure hook.
+  /// Should the pending model-switch attempt fail? serving::StreamContext
+  /// draws once per realised scheduled switch. Draws nothing (and returns
+  /// false) when switch_failure_prob is 0.
   bool next_switch_fails();
 
   // --- geometric faults ---

@@ -39,7 +39,7 @@ enum class DecisionSource {
   FailSafeStaleWindow,       // too many frozen/duplicated frames in window
   FailSafeSwitchInFlight,    // model swap in progress or latched failure
   FailSafeDeadline,          // classifier blew the per-decision deadline
-  FailSafeStageDown,         // a pipeline stage exhausted its retry budget
+  FailSafeStageDown,         // the stream's producer exhausted its retry budget
   FailSafeMiscalibrated,     // camera drifted past the calibration threshold
   FleetDegraded,             // admission control degraded a low-priority
                              // stream on a hot shard to conservative warns
@@ -94,7 +94,7 @@ class HealthMonitor {
   /// homography in (off). While latched the monitor holds at least
   /// Degraded and decisions gate to conservative warns
   /// (DecisionSource::FailSafeMiscalibrated). Called from the same thread
-  /// that drives the frame events — the tick/collect thread — so this is
+  /// that drives the frame events — the stream's tick thread — so this is
   /// a plain bool, not an atomic.
   void set_miscalibrated(bool on) {
     miscalibrated_ = on;
@@ -103,12 +103,12 @@ class HealthMonitor {
   bool miscalibrated() const { return miscalibrated_; }
 
   // --- supervisor latch ---
-  /// Pin FailSafe from outside the frame stream: a pipeline stage
+  /// Pin FailSafe from outside the frame stream: the stream's producer
   /// exhausted its crash-restart budget, so no amount of healthy frames
   /// makes the service trustworthy until an operator (or a rebuilt
-  /// pipeline) clears the latch. Thread-safe — the supervisor fires this
-  /// from a stage thread while the collect stage keeps feeding frame
-  /// events; the state machine itself escalates on the next frame event,
+  /// server) clears the latch. Thread-safe — the supervisor fires this
+  /// from the producer's thread while the deciding thread reads gates;
+  /// the state machine itself escalates on the next frame event,
   /// keeping `state_` single-writer.
   void latch_fail_safe() { external_latch_.store(true, std::memory_order_release); }
   void clear_fail_safe_latch() { external_latch_.store(false, std::memory_order_release); }

@@ -1,18 +1,18 @@
 #pragma once
-// Crash-restart supervision for the staged monitor pipeline.
+// Crash-restart supervision for StreamServer's per-stream producers.
 //
-// A stage thread that dies must degrade the warning service, never kill
-// it. The Supervisor owns one thread per registered stage and implements
-// the classic supervision loop:
+// A producer thread that dies must degrade the warning service, never
+// kill it. The Supervisor owns one thread per registered stage and
+// implements the classic supervision loop:
 //
 //   run body ──throws──▶ restart after capped exponential backoff + jitter
 //        │                     │ (attempt <= max_restarts)
 //        │ returns             │ attempt > max_restarts
 //        ▼                     ▼
-//   clean exit            give up: fire the give-up hook (the monitor
-//                         latches HealthMonitor into FailSafe) and run
-//                         the stage's degraded fallback body, so
-//                         conservative warnings keep flowing
+//   clean exit            give up: fire the give-up hook and run the
+//                         stage's degraded fallback body (the server
+//                         marks the stream down and latches its
+//                         HealthMonitor into FailSafe)
 //
 // The backoff policy (initial delay, multiplier, cap, jitter, retry
 // budget) is shared infrastructure: backoff_delay_ms() and

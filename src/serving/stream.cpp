@@ -51,14 +51,21 @@ std::optional<ReadyWindow> StreamContext::tick() {
 
   // Scheduled model switches: from this frame on the stream's decisions
   // want the new weather's model; the stream-visible swap latency gates
-  // decisions conservative through the health watchdog meanwhile.
+  // decisions conservative through the health watchdog meanwhile. A swap
+  // the fault plan fails latches every decision fail-safe until a later
+  // realised switch succeeds.
   while (schedule_pos_ < config_.model_schedule.size() &&
          config_.model_schedule[schedule_pos_].at_frame <= frame_) {
     const ModelSwitchEvent& ev = config_.model_schedule[schedule_pos_++];
     if (ev.to != model_weather_) {
       model_weather_ = ev.to;
       ++switch_epoch_;
-      if (ev.delay_ms > 0.0) health_.switch_started(ev.delay_ms);
+      if (injector_active_ && injector_.next_switch_fails()) {
+        health_.switch_failed();
+      } else {
+        health_.switch_recovered();
+        if (ev.delay_ms > 0.0) health_.switch_started(ev.delay_ms);
+      }
     }
   }
 
@@ -175,7 +182,14 @@ void StreamContext::load_state(common::StateReader& r) {
   frames_since_decision_ = r.i32();
   scorecard_.load_state(r);
   record_trace_ = r.boolean();
+  // The record count is untrusted: bound it by the bytes that are left
+  // before sizing anything from it. A record is frame u64, truth u8,
+  // class i32, prob f32, warn u8, source u8, weather u8, epoch u32.
+  constexpr std::size_t kRecordBytes = 8 + 1 + 4 + 4 + 1 + 1 + 1 + 4;
   const std::uint64_t n_trace = r.u64();
+  if (n_trace > r.remaining() / kRecordBytes) {
+    throw common::StateError("stream: trace record count exceeds the payload");
+  }
   trace_.clear();
   trace_.reserve(static_cast<std::size_t>(n_trace));
   for (std::uint64_t i = 0; i < n_trace; ++i) {

@@ -3,11 +3,11 @@
 // server: its own TrafficSimulator, CameraModel, SegmentCollector,
 // HealthMonitor, fault plan and model-switch schedule.
 //
-// A StreamContext is the producer half of the serving split. tick()
-// advances exactly one frame slot — the same ingest ordering as
-// RealtimeMonitor (schedule check, fault fate, collector step + health
-// event, due check, gate resolution) — and, when a decision is due,
-// emits a ReadyWindow carrying everything the inference side needs: the
+// A StreamContext is the producer half of the serving split and the one
+// way to run a single camera's warning service. tick() advances exactly
+// one frame slot (schedule check, fault fate, collector step + health
+// event, due check, gate resolution) and, when a decision is due, emits
+// a ReadyWindow carrying everything the inference side needs: the
 // resolved fail-safe gate, the weather whose model must judge it, the
 // ground truth to score against, and (only when the model may run) a
 // copy of the 32-frame window. The inference side — the batcher thread
@@ -53,9 +53,11 @@ using dataset::Weather;
 /// this stream's decisions want the `to` weather's model. `delay_ms` is
 /// the stream-visible swap latency: the health watchdog treats
 /// ceil(delay_ms / frame_interval_ms) frames as switch-in-flight, gating
-/// decisions conservative exactly as RealtimeMonitor does during a live
-/// swap. Frame-indexed and per-stream, so batched and sequential runs
-/// see the identical gate sequence.
+/// decisions conservative during the swap. When the stream's fault plan
+/// has switch_failure_prob > 0, each realised switch draws once from the
+/// injector; a failed swap latches FailSafeSwitchInFlight until a later
+/// realised switch succeeds. Frame-indexed and per-stream, so batched
+/// and sequential runs see the identical gate sequence.
 struct ModelSwitchEvent {
   std::size_t at_frame = 0;
   Weather to = Weather::Daytime;
@@ -167,6 +169,8 @@ class StreamContext {
   runtime::HealthMonitor& health() { return health_; }
   const runtime::HealthMonitor& health() const { return health_; }
   const dataset::SegmentCollector& collector() const { return collector_; }
+  /// The stream's simulated intersection (ground truth, sim clock).
+  const sim::TrafficSimulator& sim() const { return sim_; }
   const runtime::FaultInjector* injector() const {
     return injector_active_ ? &injector_ : nullptr;
   }

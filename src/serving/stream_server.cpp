@@ -532,8 +532,8 @@ void StreamServer::decide_batch(Batch& batch) {
     const double latency =
         std::chrono::duration<double, std::milli>(now - item.captured).count();
     StreamContext& ctx = *streams_[item.stream];
-    // Deadline budget spans capture → verdict in batched mode (as in the
-    // pipelined monitor); off by default so wall clocks never perturb
+    // Deadline budget spans capture → verdict in batched mode, queue and
+    // batch waits included; off by default so wall clocks never perturb
     // parity.
     if (d.source == DecisionSource::Model && ctx.health().deadline_blown(latency)) {
       d.warn = true;
@@ -1136,8 +1136,7 @@ void StreamServer::run_sequential() {
       Timer latency;
       core::SafeCross::Decision d = engine_.classify_as(*served, w->window);
       const double ms = latency.elapsed_ms();
-      // Classifier-time deadline, as in the synchronous monitor; off by
-      // default.
+      // Classifier-time deadline; off by default.
       if (ctx.health().deadline_blown(ms)) {
         d.warn = true;
         d.predicted_class = 0;

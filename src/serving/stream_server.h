@@ -21,7 +21,7 @@
 //
 // Sequential mode (run_sequential()): the reference implementation —
 // each stream alone, in order, every model-gated decision classified
-// N=1 the moment it is due (the same code path RealtimeMonitor uses).
+// N=1 the moment it is due. At K = 1 this is how a single camera runs.
 //
 // Correctness contract, pinned by tests/test_stream_server.cpp: with the
 // deadline check disabled (the default), run() and run_sequential() over

@@ -89,11 +89,6 @@ SwitchStatus ModelSwitcher::try_switch_to(const std::string& scene) {
     status.ok = true;
     return status;
   }
-  if (failure_hook_ && failure_hook_(scene)) {
-    ++failed_switches_;
-    status.error = "switch to '" + scene + "' failed (injected transfer error)";
-    return status;
-  }
   ensure_pool();
   try {
     place_in_pool(scene, it->second.profile.total_bytes());

@@ -8,7 +8,6 @@
 // the delay; the framework uses the returned latency to decide how many
 // frames of warnings were unavailable during the swap.
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -62,19 +61,12 @@ class ModelSwitcher {
   double switch_to(const std::string& scene);
 
   /// Non-throwing variant: returns ok=false (with the reason) for an
-  /// unregistered scene, an injected transport failure, or a model that
-  /// cannot fit the pool. The active model is unchanged on failure, so a
-  /// degraded deployment keeps serving with the previous weights.
+  /// unregistered scene or a model that cannot fit the pool. The active
+  /// model is unchanged on failure, so a degraded deployment keeps
+  /// serving with the previous weights.
   SwitchStatus try_switch_to(const std::string& scene);
 
-  /// Fault-injection hook: consulted once per non-trivial switch attempt;
-  /// returning true makes the attempt fail as a simulated transfer error.
-  /// Pass nullptr to remove. (See runtime::FaultInjector::next_switch_fails.)
-  void set_failure_hook(std::function<bool(const std::string&)> hook) {
-    failure_hook_ = std::move(hook);
-  }
-
-  /// Switch attempts that failed (injected or pool exhaustion).
+  /// Switch attempts that failed (unregistered scene or pool exhaustion).
   std::size_t failed_switches() const { return failed_switches_; }
 
   /// Full result (timeline included) of the last non-trivial switch.
@@ -104,7 +96,6 @@ class ModelSwitcher {
   std::unique_ptr<GpuMemoryPool> pool_;
   std::string active_;
   std::optional<SwitchResult> last_;
-  std::function<bool(const std::string&)> failure_hook_;
   std::size_t switch_count_ = 0;
   std::size_t failed_switches_ = 0;
   double total_delay_ms_ = 0.0;

@@ -1,4 +1,4 @@
-// BoundedQueue: the hand-off primitive between pipeline stages. The
+// BoundedQueue: the producer-to-decider hand-off primitive. The
 // contract under test: FIFO order, backpressure with timeout, oldest-first
 // load shedding with exact shed accounting, and close() as poisoning —
 // producers fail fast, consumers drain and then stop.

@@ -4,8 +4,8 @@
 // with a diff instead of sailing through.
 //
 // Two scenarios are pinned:
-//   * the synchronous RealtimeMonitor under a deterministic fault plan
-//     (drops, freezes, noise bursts, blackouts + a seeded sim);
+//   * one served stream (StreamServer at K = 1) under a deterministic
+//     fault plan (drops, freezes, noise bursts, blackouts + a seeded sim);
 //   * the multi-stream serving reference (three streams: daytime, rain,
 //     and one with a mid-run daytime→rain model switch).
 //
@@ -34,7 +34,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monitor.h"
 #include "models/slowfast.h"
 #include "serving/stream_server.h"
 
@@ -205,41 +204,46 @@ void append_scorecard_meta(GoldenTrace& trace, const core::StreamScorecard& s,
 
 TEST(GoldenTrace, MonitorUnderFaultsMatchesSnapshot) {
   auto sc = engine_with({dataset::Weather::Daytime});
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 424242);
-  const sim::CameraModel cam(sim.intersection().geometry());
+  serving::StreamServerConfig cfg;
+  cfg.frames = 30 * 240;
+  cfg.record_traces = true;
 
-  runtime::FaultPlan plan;
-  plan.drop_prob = 0.02;
-  plan.freeze_prob = 0.02;
-  plan.noise_prob = 0.01;
-  plan.blackout_prob = 0.002;
-  plan.blackout_frames = 20;
-  runtime::FaultInjector injector(plan, 424243);
+  serving::StreamConfig cam;
+  cam.name = "monitor";
+  cam.weather = dataset::Weather::Daytime;
+  cam.sim_seed = 424242;
+  cam.collector_seed = 424244;
+  cam.fault_seed = 424243;
+  cam.faults.drop_prob = 0.02;
+  cam.faults.freeze_prob = 0.02;
+  cam.faults.noise_prob = 0.01;
+  cam.faults.blackout_prob = 0.002;
+  cam.faults.blackout_frames = 20;
+  cfg.streams.push_back(cam);
 
-  core::MonitorConfig cfg;
-  core::RealtimeMonitor monitor(*sc, sim, cam, cfg, 424244, &injector);
+  serving::StreamServer server(*sc, cfg);
+  server.run_sequential();
 
   GoldenTrace got;
-  constexpr std::size_t kFrames = 30 * 240;
-  for (std::size_t frame = 1; frame <= kFrames; ++frame) {
-    const auto tick = monitor.step();
-    if (!tick.decision_made) continue;
+  const auto& trace = server.stream(0).trace();
+  for (std::size_t s = 0; s < trace.size(); ++s) {
     TraceLine l;
     l.stream = 0;
-    l.seq = got.lines.size();
-    l.frame = frame;
-    l.truth = tick.danger_truth ? 1 : 0;
-    l.pred = tick.decision.predicted_class;
-    l.warn = tick.decision.warn ? 1 : 0;
-    l.source = static_cast<int>(tick.decision.source);
-    l.prob = tick.decision.prob_danger;
+    l.seq = s;
+    l.frame = trace[s].frame;
+    l.truth = trace[s].danger_truth ? 1 : 0;
+    l.pred = trace[s].predicted_class;
+    l.warn = trace[s].warn ? 1 : 0;
+    l.source = static_cast<int>(trace[s].source);
+    l.prob = trace[s].prob_danger;
     got.lines.push_back(l);
   }
-  append_scorecard_meta(got, monitor.scorecard(), kLegacyDecisionSources);
+  const core::StreamScorecard& scorecard = server.stream(0).scorecard();
+  append_scorecard_meta(got, scorecard, kLegacyDecisionSources);
   ASSERT_GT(got.lines.size(), 0u) << "the scenario produced no decisions to pin";
-  EXPECT_GT(monitor.fail_safe_decisions(), 0u)
+  EXPECT_GT(scorecard.fail_safe_decisions(), 0u)
       << "the fault plan should force some conservative gates";
-  EXPECT_GT(monitor.model_decisions(), 0u)
+  EXPECT_GT(scorecard.model_decisions(), 0u)
       << "the snapshot must pin real classifier verdicts";
   check_against_golden("monitor_daytime_faults.txt", got);
 }

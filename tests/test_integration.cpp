@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monitor.h"
 #include "core/safecross.h"
 #include "dataset/builder.h"
 #include "fewshot/trainer.h"
+#include "serving/stream_server.h"
 
 namespace safecross {
 namespace {
@@ -39,15 +39,20 @@ TEST(Integration, FullPipelineProducesUsefulLiveWarnings) {
   SafeCross sc(cfg);
   sc.train_basic(ptrs(day.segments));
 
-  // 3) Deploy over a live (fresh-seed) simulation and score decisions.
-  sim::TrafficSimulator live(sim::weather_params(Weather::Daytime), 555);
-  const sim::CameraModel cam(live.intersection().geometry());
-  core::MonitorConfig mon_cfg;
-  core::RealtimeMonitor monitor(sc, live, cam, mon_cfg, 556);
-  for (int i = 0; i < 30 * 60 * 10 && monitor.decisions() < 60; ++i) monitor.step();
+  // 3) Serve a live (fresh-seed) simulation and score decisions.
+  serving::StreamServerConfig serve_cfg;
+  serve_cfg.frames = 30 * 60 * 10;  // ten sim-minutes
+  serving::StreamConfig live;
+  live.weather = Weather::Daytime;
+  live.sim_seed = 555;
+  live.collector_seed = 556;
+  serve_cfg.streams.push_back(live);
+  serving::StreamServer server(sc, serve_cfg);
+  server.run_sequential();
 
-  ASSERT_GE(monitor.decisions(), 20u) << "monitor produced too few decisions";
-  EXPECT_GT(monitor.accuracy(), 0.6) << "live accuracy should beat chance";
+  const core::StreamScorecard& scorecard = server.stream(0).scorecard();
+  ASSERT_GE(scorecard.decisions(), 20u) << "the live stream produced too few decisions";
+  EXPECT_GT(scorecard.accuracy(), 0.6) << "live accuracy should beat chance";
 }
 
 TEST(Integration, WeatherAdaptationAndSwitchingRoundTrip) {

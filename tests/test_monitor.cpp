@@ -1,12 +1,22 @@
-#include "core/monitor.h"
+// One camera's live warning service, run the one way every stream runs:
+// a StreamServer at K = 1 where only the verdict trace and scorecard
+// matter, the StreamContext tick loop where per-frame state is checked.
+
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "dataset/builder.h"
 #include "fewshot/trainer.h"
+#include "models/slowfast.h"
+#include "serving/stream_server.h"
 
 namespace safecross::core {
 namespace {
+
+using serving::StreamConfig;
+using serving::StreamServer;
+using serving::StreamServerConfig;
 
 SafeCross& trained_framework() {
   static SafeCross* sc = [] {
@@ -28,67 +38,79 @@ SafeCross& trained_framework() {
   return *sc;
 }
 
+StreamConfig daytime_stream(std::uint64_t sim_seed, std::uint64_t collector_seed) {
+  StreamConfig sc;
+  sc.weather = dataset::Weather::Daytime;
+  sc.sim_seed = sim_seed;
+  sc.collector_seed = collector_seed;
+  return sc;
+}
+
+/// Serve one stream for `frames` frame slots (sequential reference, traces on).
+std::unique_ptr<StreamServer> serve(SafeCross& sc, const StreamConfig& stream,
+                                    std::size_t frames) {
+  StreamServerConfig cfg;
+  cfg.frames = frames;
+  cfg.record_traces = true;
+  cfg.streams.push_back(stream);
+  auto server = std::make_unique<StreamServer>(sc, cfg);
+  server->run_sequential();
+  return server;
+}
+
 TEST(Monitor, NoDecisionsBeforeWindowFills) {
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 31);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  RealtimeMonitor monitor(trained_framework(), sim, cam, MonitorConfig{}, 32);
-  for (int i = 0; i < 31; ++i) {  // fewer frames than one window
-    const auto tick = monitor.step();
-    EXPECT_FALSE(tick.decision_made);
-  }
-  EXPECT_EQ(monitor.decisions(), 0u);
+  // Fewer frames than one window.
+  const auto server = serve(trained_framework(), daytime_stream(31, 32), 31);
+  EXPECT_EQ(server->stream(0).scorecard().decisions(), 0u);
+  EXPECT_TRUE(server->stream(0).trace().empty());
 }
 
 TEST(Monitor, CountersAreConsistent) {
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 33);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  RealtimeMonitor monitor(trained_framework(), sim, cam, MonitorConfig{}, 34);
-  std::size_t observed_decisions = 0;
-  for (int i = 0; i < 30 * 240; ++i) {
-    if (monitor.step().decision_made) ++observed_decisions;
-  }
-  EXPECT_EQ(monitor.decisions(), observed_decisions);
-  EXPECT_EQ(monitor.decisions(),
-            monitor.correct() + monitor.missed_threats() + monitor.false_warnings());
-  EXPECT_LE(monitor.warnings(), monitor.decisions());
+  const auto server = serve(trained_framework(), daytime_stream(33, 34), 30 * 240);
+  const StreamScorecard& s = server->stream(0).scorecard();
+  EXPECT_EQ(s.decisions(), server->stream(0).trace().size());
+  EXPECT_EQ(s.decisions(), s.correct() + s.missed_threats() + s.false_warnings());
+  EXPECT_LE(s.warnings(), s.decisions());
 }
 
 TEST(Monitor, DecisionsOnlyWhileSubjectWaits) {
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 35);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  RealtimeMonitor monitor(trained_framework(), sim, cam, MonitorConfig{}, 36);
+  serving::StreamContext ctx(daytime_stream(35, 36));
+  std::size_t due = 0;
   for (int i = 0; i < 30 * 240; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      EXPECT_TRUE(tick.subject_waiting);
-    }
+    if (!ctx.tick()) continue;
+    ++due;
+    const sim::Vehicle* subject = ctx.sim().subject(ctx.config().vp.approach);
+    ASSERT_NE(subject, nullptr);
+    EXPECT_EQ(subject->state, sim::DriverState::HoldingAtStop);
   }
+  EXPECT_GT(due, 0u);
 }
 
 TEST(Monitor, DecisionStrideRateLimits) {
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 37);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  cfg.decision_stride = 30;  // at most one decision per second
-  RealtimeMonitor monitor(trained_framework(), sim, cam, cfg, 38);
-  int since_last = 1000;
-  for (int i = 0; i < 30 * 300; ++i) {
-    const auto tick = monitor.step();
-    ++since_last;
-    if (tick.decision_made) {
-      EXPECT_GE(since_last, 30);
-      since_last = 0;
-    }
+  StreamConfig stream = daytime_stream(37, 38);
+  stream.decision_stride = 30;  // at most one decision per second
+  const auto server = serve(trained_framework(), stream, 30 * 300);
+  const auto& trace = server->stream(0).trace();
+  ASSERT_FALSE(trace.empty());
+  for (std::size_t s = 1; s < trace.size(); ++s) {
+    EXPECT_GE(trace[s].frame - trace[s - 1].frame, 30u);
   }
 }
 
-TEST(Monitor, ActivatesFrameworkSceneOnConstruction) {
-  SafeCross& sc = trained_framework();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 39);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  RealtimeMonitor monitor(sc, sim, cam, MonitorConfig{}, 40);
-  EXPECT_EQ(sc.active_weather(), dataset::Weather::Daytime);
-  (void)monitor;
+TEST(Monitor, ServingActivatesTheStreamWeatherModel) {
+  SafeCrossConfig cfg;
+  cfg.model.slow_channels = 4;
+  cfg.model.fast_channels = 2;
+  SafeCross sc(cfg);
+  sc.set_model(dataset::Weather::Daytime, std::make_unique<models::SlowFast>(cfg.model));
+  sc.set_model(dataset::Weather::Rain, std::make_unique<models::SlowFast>(cfg.model));
+  sc.on_scene_change(dataset::Weather::Daytime);
+
+  StreamConfig stream = daytime_stream(39, 40);
+  stream.weather = dataset::Weather::Rain;
+  const auto server = serve(sc, stream, 30 * 120);
+  ASSERT_GT(server->stream(0).scorecard().model_decisions(), 0u);
+  EXPECT_EQ(sc.active_weather(), dataset::Weather::Rain);
 }
 
 }  // namespace

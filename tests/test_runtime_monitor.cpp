@@ -1,14 +1,12 @@
-// RealtimeMonitor under injected faults: the fail-safe policy must never
+// A served stream under injected faults: the fail-safe policy must never
 // feed a gapped window to the classifier as if it were contiguous, must
 // tally fail-safe decisions separately in the online scorecard, and —
-// with the injector disabled — must be bit-identical to the policy-free
+// with the injector disabled — must be bit-identical to the fail-silent
 // (pre-robustness) behaviour.
 //
 // The framework under test uses untrained (but deterministically
 // initialized) models: the robustness machinery is about *when* the model
 // is consulted, not about what it has learned.
-
-#include "core/monitor.h"
 
 #include <memory>
 #include <tuple>
@@ -17,9 +15,16 @@
 #include <gtest/gtest.h>
 
 #include "models/slowfast.h"
+#include "serving/stream_server.h"
 
 namespace safecross::core {
 namespace {
+
+using serving::ReadyWindow;
+using serving::StreamConfig;
+using serving::StreamContext;
+using serving::StreamServer;
+using serving::StreamServerConfig;
 
 SafeCrossConfig tiny_config() {
   SafeCrossConfig cfg;
@@ -35,162 +40,184 @@ std::unique_ptr<SafeCross> framework_with_daytime_model() {
   return sc;
 }
 
-using DecisionTrace = std::vector<std::tuple<int, int, float, bool>>;
+StreamConfig daytime_stream(std::uint64_t sim_seed, std::uint64_t collector_seed) {
+  StreamConfig stream;
+  stream.weather = dataset::Weather::Daytime;
+  stream.sim_seed = sim_seed;
+  stream.collector_seed = collector_seed;
+  return stream;
+}
 
-DecisionTrace run_monitor(SafeCross& sc, bool fail_safe_policy, int frames,
-                          std::uint64_t sim_seed, std::uint64_t collector_seed) {
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  cfg.fail_safe_policy = fail_safe_policy;
-  RealtimeMonitor monitor(sc, sim, cam, cfg, collector_seed);
+/// Serve one stream for `frames` frame slots (sequential reference, traces on).
+std::unique_ptr<StreamServer> serve(SafeCross& sc, const StreamConfig& stream, int frames) {
+  StreamServerConfig cfg;
+  cfg.frames = static_cast<std::size_t>(frames);
+  cfg.record_traces = true;
+  cfg.streams.push_back(stream);
+  auto server = std::make_unique<StreamServer>(sc, cfg);
+  server->run_sequential();
+  return server;
+}
+
+/// Decide one due window the way the sequential server does, and score it.
+SafeCross::Decision decide(SafeCross& sc, StreamContext& ctx, const ReadyWindow& w) {
+  const SafeCross::Decision d = w.gate == runtime::DecisionSource::Model
+                                    ? sc.classify_as(w.model_weather, w.window)
+                                    : SafeCross::fail_safe_decision(w.gate);
+  ctx.apply(w, d.predicted_class, d.prob_danger, d.warn, d.source, 0.0);
+  return d;
+}
+
+using DecisionTrace = std::vector<std::tuple<std::size_t, int, float, bool>>;
+
+DecisionTrace trace_of(const StreamServer& server) {
   DecisionTrace trace;
-  for (int i = 0; i < frames; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      trace.emplace_back(i, tick.decision.predicted_class, tick.decision.prob_danger,
-                         tick.decision.warn);
-    }
+  for (const serving::DecisionRecord& d : server.stream(0).trace()) {
+    trace.emplace_back(d.frame, d.predicted_class, d.prob_danger, d.warn);
   }
   return trace;
 }
 
 TEST(RuntimeMonitor, FailSafePolicyIsBitIdenticalWithoutFaults) {
   auto sc = framework_with_daytime_model();
-  const auto with_policy = run_monitor(*sc, /*fail_safe_policy=*/true, 30 * 240, 71, 72);
-  const auto without_policy = run_monitor(*sc, /*fail_safe_policy=*/false, 30 * 240, 71, 72);
+  const StreamConfig stream = daytime_stream(71, 72);
+  const auto with_policy = trace_of(*serve(*sc, stream, 30 * 240));
+
+  // Fail-silent: classify the raw window whenever a decision is due and
+  // the window is full, ignoring every health gate.
+  StreamContext ctx(stream);
+  DecisionTrace without_policy;
+  for (int i = 0; i < 30 * 240; ++i) {
+    const std::optional<ReadyWindow> w = ctx.tick();
+    if (!w || ctx.collector().window().size() <
+                  static_cast<std::size_t>(stream.vp.frames_per_segment)) {
+      continue;
+    }
+    const std::vector<vision::Image> window(ctx.collector().window().begin(),
+                                            ctx.collector().window().end());
+    const SafeCross::Decision d = sc->classify_as(w->model_weather, window);
+    without_policy.emplace_back(w->frame, d.predicted_class, d.prob_danger, d.warn);
+  }
   ASSERT_FALSE(with_policy.empty()) << "the run produced no decisions to compare";
   EXPECT_EQ(with_policy, without_policy);
 }
 
 TEST(RuntimeMonitor, GappedWindowNeverReachesModel) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 73);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.drop_prob = 0.30;  // heavy frame loss: most windows carry a gap
-  runtime::FaultInjector injector(plan, 74);
-  MonitorConfig cfg;  // fail-safe policy on by default
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 75, &injector);
+  StreamConfig stream = daytime_stream(73, 75);
+  stream.faults.drop_prob = 0.30;  // heavy frame loss: most windows carry a gap
+  stream.fault_seed = 74;
+  StreamContext ctx(stream);
   std::size_t model_decisions = 0, fail_safe = 0;
   for (int i = 0; i < 30 * 120; ++i) {
-    const auto tick = monitor.step();
-    if (!tick.decision_made) continue;
-    if (tick.decision.source == runtime::DecisionSource::Model) {
+    const std::optional<ReadyWindow> w = ctx.tick();
+    if (!w) continue;
+    const SafeCross::Decision d = decide(*sc, ctx, *w);
+    if (d.source == runtime::DecisionSource::Model) {
       ++model_decisions;
       // The invariant under test: a model verdict implies the window the
       // classifier saw was full, gap-free and sufficiently fresh.
-      EXPECT_TRUE(monitor.collector().window_contiguous());
-      EXPECT_GE(monitor.collector().window().size(), 32u);
+      EXPECT_TRUE(ctx.collector().window_contiguous());
+      EXPECT_GE(ctx.collector().window().size(), 32u);
     } else {
       ++fail_safe;
-      EXPECT_TRUE(tick.decision.warn) << "fail-safe decisions always warn";
-      EXPECT_EQ(tick.decision.predicted_class, 0);
+      EXPECT_TRUE(d.warn) << "fail-safe decisions always warn";
+      EXPECT_EQ(d.predicted_class, 0);
     }
   }
-  EXPECT_GT(injector.frames_dropped(), 0u);
+  ASSERT_NE(ctx.injector(), nullptr);
+  EXPECT_GT(ctx.injector()->frames_dropped(), 0u);
   EXPECT_GT(fail_safe, 0u) << "30% drops must force some fail-safe decisions";
-  EXPECT_EQ(monitor.fail_safe_decisions(), fail_safe);
-  EXPECT_EQ(monitor.model_decisions(), model_decisions);
+  EXPECT_EQ(ctx.scorecard().fail_safe_decisions(), fail_safe);
+  EXPECT_EQ(ctx.scorecard().model_decisions(), model_decisions);
 }
 
 TEST(RuntimeMonitor, ScorecardSeparatesFailSafeFromModelDecisions) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 76);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.drop_prob = 0.10;
-  plan.freeze_prob = 0.10;
-  plan.noise_prob = 0.05;
-  plan.blackout_prob = 0.002;
-  runtime::FaultInjector injector(plan, 77);
-  RealtimeMonitor monitor(*sc, sim, cam, MonitorConfig{}, 78, &injector);
-  for (int i = 0; i < 30 * 180; ++i) monitor.step();
+  StreamConfig stream = daytime_stream(76, 78);
+  stream.faults.drop_prob = 0.10;
+  stream.faults.freeze_prob = 0.10;
+  stream.faults.noise_prob = 0.05;
+  stream.faults.blackout_prob = 0.002;
+  stream.fault_seed = 77;
+  const auto server = serve(*sc, stream, 30 * 180);
+  const StreamScorecard& s = server->stream(0).scorecard();
 
-  EXPECT_EQ(monitor.decisions(), monitor.model_decisions() + monitor.fail_safe_decisions());
-  EXPECT_EQ(monitor.decisions(),
-            monitor.correct() + monitor.missed_threats() + monitor.false_warnings());
-  EXPECT_LE(monitor.decisions(), monitor.decision_opportunities());
+  EXPECT_EQ(s.decisions(), s.model_decisions() + s.fail_safe_decisions());
+  EXPECT_EQ(s.decisions(), s.correct() + s.missed_threats() + s.false_warnings());
+  EXPECT_LE(s.decisions(), s.decision_opportunities());
   // Per-source counts add up to the totals.
   std::size_t by_source_sum = 0;
-  for (int s = 0; s < runtime::kDecisionSourceCount; ++s) {
-    by_source_sum += monitor.fail_safe_by_source(static_cast<runtime::DecisionSource>(s));
+  for (int src = 0; src < runtime::kDecisionSourceCount; ++src) {
+    by_source_sum += s.fail_safe_by_source(static_cast<runtime::DecisionSource>(src));
   }
-  EXPECT_EQ(by_source_sum, monitor.decisions());
-  EXPECT_EQ(monitor.fail_safe_by_source(runtime::DecisionSource::Model),
-            monitor.model_decisions());
+  EXPECT_EQ(by_source_sum, s.decisions());
+  EXPECT_EQ(s.fail_safe_by_source(runtime::DecisionSource::Model), s.model_decisions());
 }
 
 TEST(RuntimeMonitor, SwitchFailureRunsFailSafeWithoutThrowing) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 79);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.switch_failure_prob = 1.0;  // every swap attempt dies
-  runtime::FaultInjector injector(plan, 80);
-  MonitorConfig cfg;
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 81, &injector);  // must not throw
-  EXPECT_EQ(monitor.health().state(), runtime::HealthState::FailSafe);
-  std::size_t decisions = 0;
-  for (int i = 0; i < 30 * 240; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      ++decisions;
-      EXPECT_TRUE(runtime::is_fail_safe(tick.decision.source));
-      EXPECT_EQ(tick.decision.source, runtime::DecisionSource::FailSafeSwitchInFlight);
-      EXPECT_TRUE(tick.decision.warn);
-    }
+  StreamConfig stream = daytime_stream(79, 81);
+  stream.faults.switch_failure_prob = 1.0;  // every swap attempt dies
+  stream.fault_seed = 80;
+  // A real switch before the first decision: the swap dies and every
+  // decision after it must run fail-safe.
+  stream.model_schedule.push_back({1, dataset::Weather::Rain, 100.0});
+  const auto server = serve(*sc, stream, 30 * 240);  // must not throw
+  const StreamContext& ctx = server->stream(0);
+  EXPECT_EQ(ctx.health().state(), runtime::HealthState::FailSafe);
+  ASSERT_FALSE(ctx.trace().empty());
+  for (const serving::DecisionRecord& d : ctx.trace()) {
+    EXPECT_EQ(d.source, runtime::DecisionSource::FailSafeSwitchInFlight);
+    EXPECT_TRUE(d.warn);
   }
-  EXPECT_GT(decisions, 0u);
-  EXPECT_EQ(monitor.model_decisions(), 0u);
-  EXPECT_GT(injector.switch_failures(), 0u);
+  EXPECT_EQ(ctx.scorecard().model_decisions(), 0u);
+  ASSERT_NE(ctx.injector(), nullptr);
+  EXPECT_EQ(ctx.injector()->switch_failures(), 1u);
 }
 
 TEST(RuntimeMonitor, BlackoutForcesConservativeDecisions) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 82);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.blackout_prob = 0.01;
-  plan.blackout_frames = 60;  // two-second camera blindness
-  runtime::FaultInjector injector(plan, 83);
-  RealtimeMonitor monitor(*sc, sim, cam, MonitorConfig{}, 84, &injector);
+  StreamConfig stream = daytime_stream(82, 84);
+  stream.faults.blackout_prob = 0.01;
+  stream.faults.blackout_frames = 60;  // two-second camera blindness
+  stream.fault_seed = 83;
+  StreamContext ctx(stream);
+  ASSERT_NE(ctx.injector(), nullptr);
   for (int i = 0; i < 30 * 120; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made && tick.frame_fault == runtime::FrameFault::Blackout) {
+    const std::optional<ReadyWindow> w = ctx.tick();
+    if (!w) continue;
+    const SafeCross::Decision d = decide(*sc, ctx, *w);
+    if (ctx.injector()->current_frame_fault() == runtime::FrameFault::Blackout) {
       // Deciding *during* a blackout must never trust the model: the
       // window is mostly zeros regardless of what is on the road.
-      EXPECT_TRUE(runtime::is_fail_safe(tick.decision.source))
+      EXPECT_TRUE(runtime::is_fail_safe(d.source))
           << "frame " << i << " decided from a blacked-out window";
     }
   }
-  EXPECT_GT(injector.blackout_frames_total(), 0u);
+  EXPECT_GT(ctx.injector()->blackout_frames_total(), 0u);
 }
 
 TEST(RuntimeMonitor, CameraDriftSelfHealsThroughRecalibration) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 88);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.geometry.drift_px_per_frame = 0.04;  // ~1.2 px per 30-frame check
-  plan.geometry.drift_stop_frame = 600;     // then the camera holds still
-  runtime::FaultInjector injector(plan, 89);
-  MonitorConfig cfg;
-  cfg.recalib.enabled = true;
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 90, &injector);
+  StreamConfig stream = daytime_stream(88, 90);
+  stream.faults.geometry.drift_px_per_frame = 0.04;  // ~1.2 px per 30-frame check
+  stream.faults.geometry.drift_stop_frame = 600;     // then the camera holds still
+  stream.fault_seed = 89;
+  stream.recalib.enabled = true;
+  const auto server = serve(*sc, stream, 30 * 240);
+  const StreamContext& ctx = server->stream(0);
   std::size_t miscal_warns = 0, model_after_recovery = 0;
-  for (int i = 0; i < 30 * 240; ++i) {
-    const auto tick = monitor.step();
-    if (!tick.decision_made) continue;
-    if (tick.decision.source == runtime::DecisionSource::FailSafeMiscalibrated) {
+  for (const serving::DecisionRecord& d : ctx.trace()) {
+    if (d.source == runtime::DecisionSource::FailSafeMiscalibrated) {
       ++miscal_warns;
-      EXPECT_TRUE(tick.decision.warn) << "miscalibrated decisions must warn";
-      EXPECT_EQ(tick.decision.predicted_class, 0);
-    } else if (i > 1500 && tick.decision.source == runtime::DecisionSource::Model) {
+      EXPECT_TRUE(d.warn) << "miscalibrated decisions must warn";
+      EXPECT_EQ(d.predicted_class, 0);
+    } else if (d.frame > 1501 && d.source == runtime::DecisionSource::Model) {
       ++model_after_recovery;
     }
   }
-  const runtime::RecalibrationLoop* loop = monitor.recalibration();
+  const runtime::RecalibrationLoop* loop = ctx.recalibration();
   ASSERT_NE(loop, nullptr);
   EXPECT_GT(loop->miscalibration_episodes(), 0u) << "drift never latched";
   EXPECT_GT(loop->recalibrations(), 0u) << "no solve ever landed";
@@ -199,53 +226,29 @@ TEST(RuntimeMonitor, CameraDriftSelfHealsThroughRecalibration) {
   EXPECT_EQ(loop->state(), runtime::CalibrationState::Calibrated);
   // The healed calibration tracks the injected perturbation to within the
   // drift threshold — the loop measured, chased and caught the camera.
-  EXPECT_LT(runtime::view_drift_px(loop->applied_view(), injector.view_perturbation(),
-                                   cam.config().width, cam.config().height),
-            cfg.recalib.drift_threshold_px);
+  ASSERT_NE(ctx.injector(), nullptr);
+  const runtime::RecalibrationConfig& recalib = ctx.config().recalib;
+  EXPECT_LT(runtime::view_drift_px(loop->applied_view(), ctx.injector()->view_perturbation(),
+                                   recalib.frame_width, recalib.frame_height),
+            recalib.drift_threshold_px);
 }
 
 TEST(RuntimeMonitor, RecalibrationIdleWithoutDriftIsBitIdentical) {
   // With the loop enabled but the camera steady, drift checks run and must
   // all come back below threshold: no latch, no swap, and the decision
-  // stream is bit-identical to a monitor without the loop.
+  // stream is bit-identical to a stream without the loop.
   auto sc = framework_with_daytime_model();
-  const auto baseline = run_monitor(*sc, /*fail_safe_policy=*/true, 30 * 120, 91, 92);
+  StreamConfig stream = daytime_stream(91, 92);
+  const auto baseline = trace_of(*serve(*sc, stream, 30 * 120));
 
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 91);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  cfg.recalib.enabled = true;
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 92);
-  DecisionTrace trace;
-  for (int i = 0; i < 30 * 120; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      trace.emplace_back(i, tick.decision.predicted_class, tick.decision.prob_danger,
-                         tick.decision.warn);
-    }
-  }
-  const runtime::RecalibrationLoop* loop = monitor.recalibration();
+  stream.recalib.enabled = true;
+  const auto server = serve(*sc, stream, 30 * 120);
+  const runtime::RecalibrationLoop* loop = server->stream(0).recalibration();
   ASSERT_NE(loop, nullptr);
   EXPECT_GT(loop->checks_run(), 0u);
   EXPECT_EQ(loop->miscalibration_episodes(), 0u);
   EXPECT_EQ(loop->recalibrations(), 0u);
-  EXPECT_EQ(trace, baseline);
-}
-
-TEST(RuntimeMonitor, UninstallsSwitchHookOnDestruction) {
-  auto sc = framework_with_daytime_model();
-  runtime::FaultPlan plan;
-  plan.switch_failure_prob = 1.0;
-  runtime::FaultInjector injector(plan, 85);
-  {
-    sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 86);
-    const sim::CameraModel cam(sim.intersection().geometry());
-    RealtimeMonitor monitor(*sc, sim, cam, MonitorConfig{}, 87, &injector);
-  }
-  // The dangling-hook hazard: after the monitor (and later the injector)
-  // die, the framework's switcher must not call back into them.
-  const auto status = sc->switcher().try_switch_to("daytime");
-  EXPECT_TRUE(status.ok);
+  EXPECT_EQ(trace_of(*server), baseline);
 }
 
 }  // namespace

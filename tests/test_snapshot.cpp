@@ -1,11 +1,13 @@
 // SnapshotStore unit suite: atomic publish (temp + fsync + rename),
 // monotonic generation sequencing across reopen, pruning, and the
 // newest-valid fallback walk — including the on-disk states a kill at
-// each snapshot crash point leaves behind.
+// each snapshot crash point leaves behind. Also: the stream-state
+// decoders refuse untrusted element counts larger than their payload.
 
 #include "serving/snapshot.h"
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -14,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "common/checksum.h"
+#include "common/state_io.h"
+#include "serving/stream.h"
 
 namespace safecross::serving {
 namespace {
@@ -236,6 +240,43 @@ TEST(SnapshotStore, PruneConcurrentWithReaderWalkAlwaysFindsIntactGeneration) {
   const auto last = SnapshotStore::load_newest_valid(tmp.path);
   ASSERT_TRUE(last.found);
   EXPECT_EQ(last.payload, "gen payload " + std::to_string(kWrites));
+}
+
+/// Overwrite the u64 that ends `bytes` — the element count of an empty
+/// trailing list — with a claim of 2^40 entries.
+void claim_huge_trailing_count(std::string& bytes) {
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(huge), &huge, sizeof(huge));
+}
+
+TEST(StreamStateDecode, RejectsALatencyCountLargerThanThePayload) {
+  core::StreamScorecard scorecard;
+  scorecard.count_opportunity();
+  common::StateWriter w;
+  scorecard.save_state(w);  // ends with the (empty) latency list's count
+  std::string bytes = w.take();
+  claim_huge_trailing_count(bytes);
+
+  core::StreamScorecard restored;
+  common::StateReader r(bytes);
+  EXPECT_THROW(restored.load_state(r), common::StateError);
+}
+
+TEST(StreamStateDecode, RejectsATraceCountLargerThanThePayload) {
+  StreamConfig cfg;
+  cfg.sim_seed = 41;
+  cfg.collector_seed = 42;
+  StreamContext ctx(cfg);
+  ctx.set_record_trace(true);
+  for (int i = 0; i < 8; ++i) ctx.tick();
+  common::StateWriter w;
+  ctx.save_state(w);  // ends with the (empty) verdict trace's count
+  std::string bytes = w.take();
+  claim_huge_trailing_count(bytes);
+
+  StreamContext restored(cfg);
+  common::StateReader r(bytes);
+  EXPECT_THROW(restored.load_state(r), common::StateError);
 }
 
 }  // namespace

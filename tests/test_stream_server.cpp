@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monitor.h"
+#include "runtime/fault_injector.h"
 #include "models/slowfast.h"
 
 namespace safecross::serving {
@@ -262,39 +262,105 @@ TEST(StreamServer, ParityHoldsAcrossMidRunModelSwitch) {
   EXPECT_GE(batched.engine_switches() + reference.engine_switches(), 2u);
 }
 
-TEST(StreamServer, SequentialMatchesRealtimeMonitor) {
-  // The serving reference path and the original synchronous monitor are
-  // two implementations of the same per-stream policy; their scorecards
-  // over an identical stream must agree exactly.
-  auto sc = engine_with_models({Weather::Daytime});
-  // Warm-start the engine so the monitor's constructor-time scene change
-  // is a no-op, matching the server's warm-start contract.
-  sc->on_scene_change(Weather::Daytime);
-  constexpr std::size_t kFrames = 30 * 120;
-  constexpr std::uint64_t kSimSeed = 535353, kCollectorSeed = 535354;
+TEST(StreamServer, FailedSwitchGatesOnlyItsOwnStream) {
+  auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
+  StreamServerConfig cfg = parity_base_config();
+  cfg.frames = 30 * 120;
+  cfg.streams.push_back(make_stream("failing", Weather::Daytime, 535353));
+  cfg.streams.push_back(make_stream("clean", Weather::Daytime, 4010));
+  // Stream 0's fault plan kills every swap; its scheduled switch to rain
+  // a third of the way in therefore fails and latches it fail-safe.
+  const std::size_t switch_frame = cfg.frames / 3;
+  cfg.streams[0].faults.switch_failure_prob = 1.0;
+  cfg.streams[0].model_schedule.push_back({switch_frame, Weather::Rain, 120.0});
+  cfg.batcher.max_batch = 2;
 
-  StreamServerConfig cfg;
-  cfg.frames = kFrames;
-  cfg.streams.push_back(make_stream("solo", Weather::Daytime, kSimSeed));
-  cfg.streams[0].collector_seed = kCollectorSeed;
+  StreamServer batched(*sc, cfg);
+  batched.run();
+  StreamServer reference(*sc, cfg);
+  reference.run_sequential();
+  expect_servers_agree(batched, reference);
+
+  const StreamContext& failing = batched.stream(0);
+  ASSERT_NE(failing.injector(), nullptr);
+  EXPECT_EQ(failing.injector()->switch_failures(), 1u);
+  bool model_before = false, after = false;
+  for (const DecisionRecord& rec : failing.trace()) {
+    if (rec.frame < switch_frame) {
+      model_before |= rec.source == runtime::DecisionSource::Model;
+      continue;
+    }
+    after = true;
+    EXPECT_EQ(rec.source, runtime::DecisionSource::FailSafeSwitchInFlight)
+        << "frame " << rec.frame << " trusted a model whose swap failed";
+  }
+  EXPECT_TRUE(model_before) << "no pre-switch model verdict — weak scenario";
+  EXPECT_TRUE(after) << "no decision after the failed switch — weak scenario";
+
+  // The clean stream decides exactly as it would served alone.
+  StreamServerConfig solo_cfg = parity_base_config();
+  solo_cfg.frames = cfg.frames;
+  solo_cfg.streams.push_back(cfg.streams[1]);
+  StreamServer solo(*sc, solo_cfg);
+  solo.run_sequential();
+  const auto& got = batched.stream(1).trace();
+  const auto& want = solo.stream(0).trace();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].frame, want[s].frame);
+    EXPECT_EQ(got[s].prob_danger, want[s].prob_danger);
+    EXPECT_EQ(got[s].source, want[s].source);
+  }
+}
+
+TEST(StreamServer, SwitchFailureLatchesUntilALaterSwitchSucceeds) {
+  auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
+  StreamServerConfig cfg = parity_base_config();
+  cfg.frames = 30 * 240;
+  StreamConfig stream = make_stream("flapping", Weather::Daytime, 7000);
+  stream.faults.switch_failure_prob = 0.5;
+  // Instant swaps, so a switch only ever gates decisions through the
+  // failure latch, never through a swap in flight.
+  for (std::size_t at = 600; at < cfg.frames; at += 600) {
+    const Weather to = (at / 600) % 2 == 1 ? Weather::Rain : Weather::Daytime;
+    stream.model_schedule.push_back({at, to, 0.0});
+  }
+  cfg.streams.push_back(stream);
   StreamServer server(*sc, cfg);
   server.run_sequential();
 
-  sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), kSimSeed);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  core::MonitorConfig mcfg;
-  core::RealtimeMonitor monitor(*sc, sim, cam, mcfg, kCollectorSeed);
-  monitor.run(kFrames);
+  // Replay the injector's draws in tick order (switch draws, then the
+  // frame fate) to learn which switches failed and when the latch held.
+  runtime::FaultInjector shadow(stream.faults, stream.fault_seed);
+  std::vector<char> latched(cfg.frames + 1, 0);
+  bool latch = false;
+  std::size_t failures = 0, first_recovery = 0, next = 0;
+  for (std::size_t f = 1; f <= cfg.frames; ++f) {
+    if (next < stream.model_schedule.size() && stream.model_schedule[next].at_frame == f) {
+      ++next;
+      const bool failed = shadow.next_switch_fails();
+      if (failed) ++failures;
+      if (latch && !failed && first_recovery == 0) first_recovery = f;
+      latch = failed;
+    }
+    shadow.next_frame_fault();
+    latched[f] = latch ? 1 : 0;
+  }
+  ASSERT_GT(failures, 0u) << "weak scenario: no switch failed";
+  ASSERT_GT(first_recovery, 0u) << "weak scenario: no switch recovered a latch";
 
-  const auto& scorecard = server.stream(0).scorecard();
-  ASSERT_GT(monitor.decisions(), 0u);
-  EXPECT_EQ(scorecard.decisions(), monitor.decisions());
-  EXPECT_EQ(scorecard.warnings(), monitor.warnings());
-  EXPECT_EQ(scorecard.correct(), monitor.correct());
-  EXPECT_EQ(scorecard.missed_threats(), monitor.missed_threats());
-  EXPECT_EQ(scorecard.false_warnings(), monitor.false_warnings());
-  EXPECT_EQ(scorecard.fail_safe_decisions(), monitor.fail_safe_decisions());
-  EXPECT_EQ(scorecard.decision_opportunities(), monitor.decision_opportunities());
+  std::size_t gated = 0, trusted_after_recovery = 0;
+  for (const DecisionRecord& rec : server.stream(0).trace()) {
+    const bool in_latch = latched[rec.frame] != 0;
+    EXPECT_EQ(rec.source == runtime::DecisionSource::FailSafeSwitchInFlight, in_latch)
+        << "frame " << rec.frame;
+    gated += in_latch ? 1 : 0;
+    trusted_after_recovery +=
+        rec.frame >= first_recovery && rec.source == runtime::DecisionSource::Model;
+  }
+  EXPECT_GT(gated, 0u);
+  EXPECT_GT(trusted_after_recovery, 0u) << "the model was never trusted again";
 }
 
 TEST(StreamServer, ProducerCrashesWithinBudgetChangeNothing) {
