@@ -24,55 +24,38 @@ Tensor random_tensor(std::vector<int> shape, std::uint64_t seed) {
   return t;
 }
 
-// --- Backend head-to-head on SlowCross's deployment geometry: one
-// 32-frame clip of 56x56 occupancy grids (the SafeCross VC input). The
-// CI smoke step runs these so a kernel regression fails loudly.
+// --- The conv lowering on SlowCross's deployment geometry: one 32-frame
+// clip of 56x56 occupancy grids (the SafeCross VC input). The CI smoke
+// step runs these so a kernel regression fails loudly.
 
-void BM_Conv2DForwardSlowFastShape(benchmark::State& state, nn::ConvBackend backend) {
+void BM_Conv2DForwardGemm(benchmark::State& state) {
   nn::Conv2DConfig cfg;
   cfg.in_channels = 8;
   cfg.out_channels = 16;
-  cfg.backend = backend;
   nn::Conv2D conv(cfg);
   const Tensor x = random_tensor({4, 8, 56, 56}, 11);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward(x, false));
   }
 }
-void BM_Conv2DForwardGemm(benchmark::State& state) {
-  BM_Conv2DForwardSlowFastShape(state, nn::ConvBackend::kIm2col);
-}
 BENCHMARK(BM_Conv2DForwardGemm)->Unit(benchmark::kMillisecond);
-void BM_Conv2DForwardDirect(benchmark::State& state) {
-  BM_Conv2DForwardSlowFastShape(state, nn::ConvBackend::kDirect);
-}
-BENCHMARK(BM_Conv2DForwardDirect)->Unit(benchmark::kMillisecond);
 
-void BM_Conv3DForwardSlowFastShape(benchmark::State& state, nn::ConvBackend backend) {
+void BM_Conv3DForwardGemm(benchmark::State& state) {
   nn::Conv3DConfig cfg;
   cfg.in_channels = 4;
   cfg.out_channels = 8;
-  cfg.backend = backend;
   nn::Conv3D conv(cfg);
   const Tensor x = random_tensor({1, 4, 32, 56, 56}, 12);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward(x, false));
   }
 }
-void BM_Conv3DForwardGemm(benchmark::State& state) {
-  BM_Conv3DForwardSlowFastShape(state, nn::ConvBackend::kIm2col);
-}
 BENCHMARK(BM_Conv3DForwardGemm)->Unit(benchmark::kMillisecond);
-void BM_Conv3DForwardDirect(benchmark::State& state) {
-  BM_Conv3DForwardSlowFastShape(state, nn::ConvBackend::kDirect);
-}
-BENCHMARK(BM_Conv3DForwardDirect)->Unit(benchmark::kMillisecond);
 
-void BM_Conv3DBackwardSlowFastShape(benchmark::State& state, nn::ConvBackend backend) {
+void BM_Conv3DBackwardGemm(benchmark::State& state) {
   nn::Conv3DConfig cfg;
   cfg.in_channels = 4;
   cfg.out_channels = 8;
-  cfg.backend = backend;
   nn::Conv3D conv(cfg);
   const Tensor x = random_tensor({1, 4, 32, 56, 56}, 13);
   const Tensor y = conv.forward(x, true);
@@ -82,14 +65,7 @@ void BM_Conv3DBackwardSlowFastShape(benchmark::State& state, nn::ConvBackend bac
     benchmark::DoNotOptimize(conv.backward(g));
   }
 }
-void BM_Conv3DBackwardGemm(benchmark::State& state) {
-  BM_Conv3DBackwardSlowFastShape(state, nn::ConvBackend::kIm2col);
-}
 BENCHMARK(BM_Conv3DBackwardGemm)->Unit(benchmark::kMillisecond);
-void BM_Conv3DBackwardDirect(benchmark::State& state) {
-  BM_Conv3DBackwardSlowFastShape(state, nn::ConvBackend::kDirect);
-}
-BENCHMARK(BM_Conv3DBackwardDirect)->Unit(benchmark::kMillisecond);
 
 // The raw GEMM core at the three shapes the conv backward emits (NN
 // forward, NT weight-grad, TN data-grad), sized like conv3d above.
@@ -116,8 +92,7 @@ void BM_SGemmTN(benchmark::State& state) {
 BENCHMARK(BM_SGemmTN)->Unit(benchmark::kMillisecond);
 
 // Square compute-bound GEMM, per kernel: the cleanest view of the packed
-// microkernel's advantage over the scalar tile loops (and of what fp16
-// packing costs/saves). 512^3 = 268 MFLOP.
+// microkernel's advantage over the scalar tile loops. 512^3 = 268 MFLOP.
 void BM_SGemmSquare(benchmark::State& state, nn::GemmKernel kernel) {
   const int n = 512;
   const Tensor a = random_tensor({n, n}, 17);
@@ -139,10 +114,6 @@ void BM_SGemmSquareScalar(benchmark::State& state) {
   BM_SGemmSquare(state, nn::GemmKernel::kScalar);
 }
 BENCHMARK(BM_SGemmSquareScalar)->Unit(benchmark::kMillisecond);
-void BM_SGemmSquareFp16(benchmark::State& state) {
-  BM_SGemmSquare(state, nn::GemmKernel::kFp16);
-}
-BENCHMARK(BM_SGemmSquareFp16)->Unit(benchmark::kMillisecond);
 
 void BM_Conv2DForward(benchmark::State& state) {
   nn::Conv2DConfig cfg;

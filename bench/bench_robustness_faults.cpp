@@ -6,9 +6,10 @@
 //     not, and consults no health gate (a bench-local StreamContext loop);
 //   * fail-safe — the serving path (StreamServer at K = 1): untrustworthy
 //     windows produce a conservative warn tagged with a DecisionSource code.
-// A final arm fails every model swap: the stream's scheduled switch dies
-// before warm-up ends, and every decision must run fail-safe. The bench
-// exits non-zero if that arm records no switch failure.
+// A final arm, with no frame faults, fails every model swap: the stream's
+// scheduled switch dies before warm-up ends, and every decision must run
+// fail-safe. The bench exits non-zero if that arm records no switch
+// failure, makes no decision, or lets the model make one.
 // Reports availability, missed-threat rate and false-warning rate per arm
 // and writes the sweep as JSON (default BENCH_robustness.json).
 //
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/timer.h"
 #include "serving/stream_server.h"
 
 using namespace safecross;
@@ -94,9 +94,8 @@ void run_fail_silent(SafeCross& sc, serving::StreamContext& ctx, std::size_t fra
     if (!w || ctx.collector().window().size() < full) continue;
     const std::vector<vision::Image> window(ctx.collector().window().begin(),
                                             ctx.collector().window().end());
-    Timer latency;
     const SafeCross::Decision d = sc.classify_as(w->model_weather, window);
-    ctx.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source, latency.elapsed_ms());
+    ctx.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source);
   }
 }
 
@@ -209,23 +208,31 @@ int main(int argc, char** argv) {
     results.push_back(failsafe);
   }
 
-  bench::print_header("Model-switch failure: 10% drops + every swap attempt dies");
-  auto hard_plan = plan_for_rate(0.10);
+  bench::print_header("Model-switch failure: no frame faults, every swap attempt dies");
+  // No frame faults, so the dead swap is the only gate that can keep a
+  // decision from the model once the window is warm.
+  auto hard_plan = plan_for_rate(0.0);
   hard_plan.switch_failure_prob = 1.0;
   auto hard_stream = stream_for(hard_plan, 4242);
   // The scene turns to rain one second in, before warm-up ends: the swap
   // dies, and no decision may trust a model after it.
   hard_stream.model_schedule.push_back({30, dataset::Weather::Rain, 100.0});
-  const auto switch_run = run_arm(sc, /*fail_safe_policy=*/true, 0.10, hard_stream, frames);
+  const auto switch_run = run_arm(sc, /*fail_safe_policy=*/true, 0.0, hard_stream, frames);
   print_result(switch_run);
   results.push_back(switch_run);
   const bool switch_failed = switch_run.switch_failures > 0;
+  const bool switch_gated = switch_run.decisions > 0 &&
+                            switch_run.fail_safe == switch_run.decisions &&
+                            switch_run.model_decisions == 0;
   std::printf("  %zu switch failure(s); %zu of %zu decisions ran fail-safe: the intersection\n"
               "  kept its warning service (availability %.3f).\n",
               switch_run.switch_failures, switch_run.fail_safe, switch_run.decisions,
               switch_run.availability());
   if (!switch_failed) {
     std::printf("  !! the switch-failure arm attempted no failing swap\n");
+  }
+  if (!switch_gated) {
+    std::printf("  !! the switch-failure arm made no decisions, or let the model decide\n");
   }
 
   int total_exceptions = 0;
@@ -252,5 +259,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("  wrote %s\n", json_path.c_str());
-  return total_exceptions == 0 && switch_failed ? 0 : 1;
+  return total_exceptions == 0 && switch_failed && switch_gated ? 0 : 1;
 }

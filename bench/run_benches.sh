@@ -32,10 +32,10 @@ fi
 # otherwise throw from the first sgemm call deep inside a bench run.
 # (sgemm's own resolver throws too — this just surfaces it up front.)
 case "${SAFECROSS_GEMM_KERNEL:-auto}" in
-  auto|micro|scalar|fp16) ;;
+  auto|micro|scalar) ;;
   *)
     echo "error: SAFECROSS_GEMM_KERNEL='${SAFECROSS_GEMM_KERNEL}' is not one of" \
-         "auto|micro|scalar|fp16" >&2
+         "auto|micro|scalar" >&2
     exit 2
     ;;
 esac
@@ -79,7 +79,8 @@ fi
 # Fault-injection sweep: availability / missed-threat / false-warning per
 # fault rate, baseline vs fail-safe policy. Not a google-benchmark binary;
 # it writes its JSON itself and exits non-zero on any uncaught exception
-# or if its every-swap-dies arm records no switch failure.
+# or if its every-swap-dies arm records no switch failure, makes no
+# decision, or lets the model make one.
 robustness_bin="$build_dir/bench/bench_robustness_faults"
 if [[ -x "$robustness_bin" ]]; then
   robustness_args=(--json BENCH_robustness.json)

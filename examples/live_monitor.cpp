@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "common/timer.h"
 #include "core/safecross.h"
 #include "dataset/builder.h"
 #include "serving/stream.h"
@@ -44,12 +43,11 @@ int main() {
   while (live.time() < 20 * 60.0) {
     const std::optional<serving::ReadyWindow> w = stream.tick();
     if (!w) continue;
-    Timer latency;
     const core::SafeCross::Decision d =
         w->gate == runtime::DecisionSource::Model
             ? sc.classify_as(w->model_weather, w->window)
             : core::SafeCross::fail_safe_decision(w->gate);
-    stream.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source, latency.elapsed_ms());
+    stream.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source);
     if (printed < 12) {
       std::printf("  t=%7.1fs  blind=%d  P(danger)=%.2f -> %-18s truth=%s%s\n", live.time(),
                   live.blind_area_present(camera.vp.approach) ? 1 : 0, d.prob_danger,

@@ -1,7 +1,5 @@
 #include "core/stream_policy.h"
 
-#include "common/stats.h"
-
 namespace safecross::core {
 
 using runtime::DecisionSource;
@@ -93,11 +91,6 @@ void StreamScorecard::score(bool danger_truth, int predicted_class, bool warn,
   }
 }
 
-double StreamScorecard::latency_percentile(double p) const {
-  if (latencies_.empty()) return 0.0;
-  return percentile(latencies_, p);
-}
-
 void StreamScorecard::save_state(common::StateWriter& w) const {
   w.u64(decisions_);
   w.u64(warnings_);
@@ -107,8 +100,6 @@ void StreamScorecard::save_state(common::StateWriter& w) const {
   w.u64(fail_safe_decisions_);
   w.u64(decision_opportunities_);
   for (std::size_t n : by_source_) w.u64(n);
-  w.u64(latencies_.size());
-  for (double ms : latencies_) w.f64(ms);
 }
 
 void StreamScorecard::load_state(common::StateReader& r) {
@@ -120,13 +111,6 @@ void StreamScorecard::load_state(common::StateReader& r) {
   fail_safe_decisions_ = static_cast<std::size_t>(r.u64());
   decision_opportunities_ = static_cast<std::size_t>(r.u64());
   for (std::size_t& n : by_source_) n = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n_lat = r.u64();
-  if (n_lat > r.remaining() / sizeof(double)) {
-    throw common::StateError("scorecard: latency count exceeds the payload");
-  }
-  latencies_.clear();
-  latencies_.reserve(static_cast<std::size_t>(n_lat));
-  for (std::uint64_t i = 0; i < n_lat; ++i) latencies_.push_back(r.f64());
 }
 
 }  // namespace safecross::core

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "dataset/collector.h"
 #include "runtime/fault_injector.h"
@@ -48,9 +47,9 @@ runtime::DecisionSource gate_reason(const runtime::HealthMonitor& health,
                                     int frames_per_segment);
 
 /// Online per-stream scorecard: decisions vs ground truth, fail-safe
-/// tallies by reason, warning availability, and decision latency
-/// percentiles. Owned by one stream; not thread-safe — in the serving
-/// layer only the batcher thread scores.
+/// tallies by reason and warning availability. Owned by one stream; not
+/// thread-safe — in the serving layer only the batcher thread scores.
+/// Decision latencies are the server's (StreamServer::latency_log()).
 class StreamScorecard {
  public:
   /// A decision was due this tick (the availability denominator).
@@ -58,8 +57,6 @@ class StreamScorecard {
 
   /// Account one delivered decision against the tick's ground truth.
   void score(bool danger_truth, int predicted_class, bool warn, runtime::DecisionSource source);
-
-  void record_latency(double ms) { latencies_.push_back(ms); }
 
   std::size_t decisions() const { return decisions_; }
   std::size_t warnings() const { return warnings_; }
@@ -83,12 +80,7 @@ class StreamScorecard {
                : 1.0;
   }
 
-  // Latency percentiles in ms; 0 when no latencies were recorded.
-  double latency_p50() const { return latency_percentile(50.0); }
-  double latency_p99() const { return latency_percentile(99.0); }
-  double latency_percentile(double p) const;
-
-  // --- checkpoint serialization (all tallies incl. recorded latencies) ---
+  // --- checkpoint serialization (all tallies) ---
   void save_state(common::StateWriter& w) const;
   void load_state(common::StateReader& r);
 
@@ -101,7 +93,6 @@ class StreamScorecard {
   std::size_t fail_safe_decisions_ = 0;
   std::size_t decision_opportunities_ = 0;
   std::size_t by_source_[runtime::kDecisionSourceCount] = {};
-  std::vector<double> latencies_;
 };
 
 }  // namespace safecross::core

@@ -13,7 +13,7 @@ using nn::Tensor;
 
 C3D::C3D(C3DConfig config) : config_(config) {
   const int c = config.base_channels;
-  auto conv = [&config](int in_c, int out_c) {
+  auto conv = [](int in_c, int out_c) {
     nn::Conv3DConfig cc;
     cc.in_channels = in_c;
     cc.out_channels = out_c;
@@ -21,7 +21,6 @@ C3D::C3D(C3DConfig config) : config_(config) {
     cc.kernel_s = 3;
     cc.pad_t = 1;
     cc.pad_s = 1;
-    cc.backend = config.conv_backend;
     return cc;
   };
   // conv1 -> pool (spatial only, as in C3D's first stage) -> conv2 ->

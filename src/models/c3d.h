@@ -20,7 +20,6 @@ struct C3DConfig {
   int frames = 32;       // input clip length; internally strided to 16
   int base_channels = 8;
   std::uint64_t init_seed = 22u;
-  nn::ConvBackend conv_backend = nn::ConvBackend::kAuto;  // all Conv3D layers
 };
 
 class C3D final : public VideoClassifier {

@@ -9,15 +9,13 @@ using nn::Tensor;
 
 namespace {
 
-nn::Conv2DConfig conv_cfg(int in_c, int out_c, int kernel, int stride, int pad,
-                          nn::ConvBackend backend) {
+nn::Conv2DConfig conv_cfg(int in_c, int out_c, int kernel, int stride, int pad) {
   nn::Conv2DConfig c;
   c.in_channels = in_c;
   c.out_channels = out_c;
   c.kernel = kernel;
   c.stride = stride;
   c.padding = pad;
-  c.backend = backend;
   return c;
 }
 
@@ -35,11 +33,11 @@ void relu_backward_inplace(Tensor& grad, const Tensor& pre) {
 
 }  // namespace
 
-InceptionBlock::InceptionBlock(int in_channels, int branch_channels, nn::ConvBackend backend)
+InceptionBlock::InceptionBlock(int in_channels, int branch_channels)
     : branch_channels_(branch_channels),
-      b1x1_(conv_cfg(in_channels, branch_channels, 1, 1, 0, backend)),
-      b3x3_(conv_cfg(in_channels, branch_channels, 3, 1, 1, backend)),
-      b5x5_(conv_cfg(in_channels, branch_channels, 5, 1, 2, backend)) {}
+      b1x1_(conv_cfg(in_channels, branch_channels, 1, 1, 0)),
+      b3x3_(conv_cfg(in_channels, branch_channels, 3, 1, 1)),
+      b5x5_(conv_cfg(in_channels, branch_channels, 5, 1, 2)) {}
 
 Tensor InceptionBlock::forward(const Tensor& x, bool training) {
   auto run = [&](Branch& br) {
@@ -78,13 +76,12 @@ void InceptionBlock::collect(std::vector<nn::Param*>& params,
 
 InceptionLite::InceptionLite(InceptionLiteConfig config)
     : config_(config),
-      stem_(conv_cfg(1, 2 * config.branch_channels, 3, 2, 1, config.conv_backend)),
+      stem_(conv_cfg(1, 2 * config.branch_channels, 3, 2, 1)),
       stem_bn_(2 * config.branch_channels),
       head_(3 * config.branch_channels, config.num_classes) {
   int channels = 2 * config.branch_channels;
   for (int b = 0; b < config.blocks; ++b) {
-    blocks_.push_back(
-        std::make_unique<InceptionBlock>(channels, config.branch_channels, config.conv_backend));
+    blocks_.push_back(std::make_unique<InceptionBlock>(channels, config.branch_channels));
     channels = blocks_.back()->out_channels();
     if (b + 1 < config.blocks) pools_.push_back(std::make_unique<nn::MaxPool2D>(2, 2));
   }

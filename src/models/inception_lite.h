@@ -20,15 +20,13 @@ struct InceptionLiteConfig {
   int branch_channels = 4;  // per-branch width inside each block
   int blocks = 2;
   std::uint64_t init_seed = 26u;
-  nn::ConvBackend conv_backend = nn::ConvBackend::kAuto;  // all Conv2D layers
 };
 
 /// One inception block: three parallel conv paths concatenated on the
 /// channel axis. Output channels = 3 * branch_channels.
 class InceptionBlock {
  public:
-  InceptionBlock(int in_channels, int branch_channels,
-                 nn::ConvBackend backend = nn::ConvBackend::kAuto);
+  InceptionBlock(int in_channels, int branch_channels);
 
   nn::Tensor forward(const nn::Tensor& x, bool training);
   nn::Tensor backward(const nn::Tensor& grad);

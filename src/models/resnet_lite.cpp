@@ -8,15 +8,13 @@ using nn::Tensor;
 
 namespace {
 
-nn::Conv2DConfig conv_cfg(int in_c, int out_c, int kernel, int stride, int pad,
-                          nn::ConvBackend backend) {
+nn::Conv2DConfig conv_cfg(int in_c, int out_c, int kernel, int stride, int pad) {
   nn::Conv2DConfig c;
   c.in_channels = in_c;
   c.out_channels = out_c;
   c.kernel = kernel;
   c.stride = stride;
   c.padding = pad;
-  c.backend = backend;
   return c;
 }
 
@@ -34,16 +32,14 @@ void relu_backward_inplace(Tensor& grad, const Tensor& pre_activation) {
 
 }  // namespace
 
-ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride,
-                             nn::ConvBackend backend)
+ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride)
     : projected_(stride != 1 || in_channels != out_channels),
-      conv1_(conv_cfg(in_channels, out_channels, 3, stride, 1, backend)),
+      conv1_(conv_cfg(in_channels, out_channels, 3, stride, 1)),
       bn1_(out_channels),
-      conv2_(conv_cfg(out_channels, out_channels, 3, 1, 1, backend)),
+      conv2_(conv_cfg(out_channels, out_channels, 3, 1, 1)),
       bn2_(out_channels) {
   if (projected_) {
-    proj_ =
-        std::make_unique<nn::Conv2D>(conv_cfg(in_channels, out_channels, 1, stride, 0, backend));
+    proj_ = std::make_unique<nn::Conv2D>(conv_cfg(in_channels, out_channels, 1, stride, 0));
   }
 }
 
@@ -88,16 +84,16 @@ void ResidualBlock::collect(std::vector<nn::Param*>& params, std::vector<nn::Ten
 
 ResNetLite::ResNetLite(ResNetLiteConfig config)
     : config_(config),
-      stem_(conv_cfg(1, config.base_channels, 3, 2, 1, config.conv_backend)),
+      stem_(conv_cfg(1, config.base_channels, 3, 2, 1)),
       stem_bn_(config.base_channels),
       head_(2 * config.base_channels, config.num_classes) {
   const int c = config.base_channels;
   for (int b = 0; b < config.blocks_per_stage; ++b) {
-    blocks_.push_back(std::make_unique<ResidualBlock>(c, c, 1, config.conv_backend));
+    blocks_.push_back(std::make_unique<ResidualBlock>(c, c, 1));
   }
-  blocks_.push_back(std::make_unique<ResidualBlock>(c, 2 * c, 2, config.conv_backend));
+  blocks_.push_back(std::make_unique<ResidualBlock>(c, 2 * c, 2));
   for (int b = 1; b < config.blocks_per_stage; ++b) {
-    blocks_.push_back(std::make_unique<ResidualBlock>(2 * c, 2 * c, 1, config.conv_backend));
+    blocks_.push_back(std::make_unique<ResidualBlock>(2 * c, 2 * c, 1));
   }
   safecross::Rng rng(config.init_seed);
   nn::init_params(params(), rng);

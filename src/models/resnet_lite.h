@@ -20,15 +20,13 @@ struct ResNetLiteConfig {
   int base_channels = 8;
   int blocks_per_stage = 2;  // two stages; stage 2 doubles width at stride 2
   std::uint64_t init_seed = 25u;
-  nn::ConvBackend conv_backend = nn::ConvBackend::kAuto;  // all Conv2D layers
 };
 
 /// One residual block: conv-bn-relu-conv-bn (+ skip) -> relu.
 /// A stride-2 block projects the skip with a 1x1 conv.
 class ResidualBlock {
  public:
-  ResidualBlock(int in_channels, int out_channels, int stride,
-                nn::ConvBackend backend = nn::ConvBackend::kAuto);
+  ResidualBlock(int in_channels, int out_channels, int stride);
 
   nn::Tensor forward(const nn::Tensor& x, bool training);
   nn::Tensor backward(const nn::Tensor& grad);

@@ -48,8 +48,8 @@ void ConvBNReLU3D::collect(std::vector<nn::Param*>& params, std::vector<nn::Tens
 
 namespace {
 
-nn::Conv3DConfig conv_cfg(nn::ConvBackend backend, int in_c, int out_c, int kt, int ks, int st,
-                          int ss, int pt, int ps) {
+nn::Conv3DConfig conv_cfg(int in_c, int out_c, int kt, int ks, int st, int ss, int pt,
+                          int ps) {
   nn::Conv3DConfig c;
   c.in_channels = in_c;
   c.out_channels = out_c;
@@ -59,7 +59,6 @@ nn::Conv3DConfig conv_cfg(nn::ConvBackend backend, int in_c, int out_c, int kt, 
   c.stride_s = ss;
   c.pad_t = pt;
   c.pad_s = ps;
-  c.backend = backend;
   return c;
 }
 
@@ -70,21 +69,19 @@ SlowFast::SlowFast(SlowFastConfig config)
       // Slow pathway: temporal kernel 1 in the stem (the SlowFast paper's
       // "no temporal convolution before res4 in the slow path" insight,
       // scaled down), spatial stride 2.
-      slow_stem_(conv_cfg(config.conv_backend, 1, config.slow_channels, 1, 3, 1, 2, 0, 1)),
+      slow_stem_(conv_cfg(1, config.slow_channels, 1, 3, 1, 2, 0, 1)),
       slow_stage2_(conv_cfg(
-          config.conv_backend,
           config.use_lateral ? config.slow_channels + 2 * config.fast_channels
                              : config.slow_channels,
           2 * config.slow_channels, 3, 3, 1, 2, 1, 1)),
       // Fast pathway: long temporal kernel, thin channels.
-      fast_stem_(conv_cfg(config.conv_backend, 1, config.fast_channels, 5, 3, 1, 2, 2, 1)),
-      fast_stage2_(conv_cfg(config.conv_backend, config.fast_channels, 2 * config.fast_channels,
-                            3, 3, 1, 2, 1, 1)),
+      fast_stem_(conv_cfg(1, config.fast_channels, 5, 3, 1, 2, 2, 1)),
+      fast_stage2_(conv_cfg(config.fast_channels, 2 * config.fast_channels, 3, 3, 1, 2, 1, 1)),
       // Lateral: time-strided conv, fast temporal resolution -> slow.
-      lateral1_(conv_cfg(config.conv_backend, config.fast_channels, 2 * config.fast_channels,
-                         config.alpha, 1, config.alpha, 1, 0, 0)),
-      lateral2_(conv_cfg(config.conv_backend, 2 * config.fast_channels, 4 * config.fast_channels,
-                         config.alpha, 1, config.alpha, 1, 0, 0)),
+      lateral1_(conv_cfg(config.fast_channels, 2 * config.fast_channels, config.alpha, 1,
+                         config.alpha, 1, 0, 0)),
+      lateral2_(conv_cfg(2 * config.fast_channels, 4 * config.fast_channels, config.alpha, 1,
+                         config.alpha, 1, 0, 0)),
       dropout_(config.dropout, config.init_seed ^ 0xD0u),
       head_((config.use_lateral ? 2 * config.slow_channels + 4 * config.fast_channels
                                 : 2 * config.slow_channels) +

@@ -34,7 +34,6 @@ struct SlowFastConfig {
   bool use_lateral = true;
   float dropout = 0.3f;
   std::uint64_t init_seed = 21u;
-  nn::ConvBackend conv_backend = nn::ConvBackend::kAuto;  // all Conv3D layers
 };
 
 /// Conv3D + BatchNorm + ReLU block with manual forward/backward.

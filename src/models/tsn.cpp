@@ -25,14 +25,13 @@ std::vector<int> TSN::segment_indices(int frames, int segments) {
 
 TSN::TSN(TSNConfig config) : config_(config) {
   const int c = config.base_channels;
-  auto conv = [&config](int in_c, int out_c, int stride) {
+  auto conv = [](int in_c, int out_c, int stride) {
     nn::Conv2DConfig cc;
     cc.in_channels = in_c;
     cc.out_channels = out_c;
     cc.kernel = 3;
     cc.stride = stride;
     cc.padding = 1;
-    cc.backend = config.conv_backend;
     return cc;
   };
   backbone_.emplace<nn::Conv2D>(conv(1, c, 2));

@@ -12,7 +12,6 @@
 // label depends on oncoming-vehicle *motion*.
 
 #include "models/video_classifier.h"
-#include "nn/conv_backend.h"
 #include "nn/sequential.h"
 
 namespace safecross::models {
@@ -23,7 +22,6 @@ struct TSNConfig {
   int segments = 3;  // the paper's tsn_r50_1x1x3 config
   int base_channels = 8;
   std::uint64_t init_seed = 23u;
-  nn::ConvBackend conv_backend = nn::ConvBackend::kAuto;  // backbone Conv2D layers
 };
 
 class TSN final : public VideoClassifier {

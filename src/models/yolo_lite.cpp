@@ -35,14 +35,13 @@ YoloLite::YoloLite(YoloLiteConfig config) : config_(config) {
     throw std::invalid_argument("YoloLite: input must be divisible by the grid downscale");
   }
   const int c = config.base_channels;
-  auto conv = [&config](int in_c, int out_c, int kernel, int stride, int pad) {
+  auto conv = [](int in_c, int out_c, int kernel, int stride, int pad) {
     nn::Conv2DConfig cc;
     cc.in_channels = in_c;
     cc.out_channels = out_c;
     cc.kernel = kernel;
     cc.stride = stride;
     cc.padding = pad;
-    cc.backend = config.conv_backend;
     return cc;
   };
   net_.emplace<nn::Conv2D>(conv(1, c, 3, 2, 1));

@@ -33,7 +33,6 @@ struct YoloLiteConfig {
   float lambda_coord = 5.0f;
   float lambda_noobj = 0.5f;
   std::uint64_t init_seed = 24u;
-  nn::ConvBackend conv_backend = nn::ConvBackend::kAuto;  // all Conv2D layers
 
   /// Three stride-2 stages -> grid cells of 8x8 pixels.
   int downscale() const { return 8; }

@@ -2,16 +2,35 @@
 
 #include <stdexcept>
 
-#include "common/arena.h"
-#include "common/thread_pool.h"
-#include "nn/gemm.h"
 #include "nn/im2col.h"
 
 namespace safecross::nn {
 
+namespace {
+
+// The lowering geometry of one forward or backward over `input`: the
+// 3-D geometry at t = 1 with a 1-frame kernel.
+Im2ColGeom3D geometry(const Conv2DConfig& c, const Tensor& input) {
+  const int h = input.dim(2), w = input.dim(3);
+  return {input.dim(1),
+          1,
+          h,
+          w,
+          1,
+          c.kernel,
+          1,
+          c.stride,
+          0,
+          c.padding,
+          1,
+          Conv2D::out_size(h, c.kernel, c.stride, c.padding),
+          Conv2D::out_size(w, c.kernel, c.stride, c.padding)};
+}
+
+}  // namespace
+
 Conv2D::Conv2D(Conv2DConfig config)
     : config_(config),
-      backend_(resolve_conv_backend(config.backend)),
       weight_(Tensor({config.out_channels, config.in_channels, config.kernel, config.kernel})),
       bias_(Tensor({config.out_channels})) {
   if (config.kernel < 1 || config.stride < 1 || config.padding < 0) {
@@ -33,248 +52,31 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
     throw std::invalid_argument("Conv2D: expected (N, " + std::to_string(config_.in_channels) +
                                 ", H, W), got " + input.shape_str());
   }
-  cached_input_ = input;
-  const int oh = out_size(input.dim(2), config_.kernel, config_.stride, config_.padding);
-  const int ow = out_size(input.dim(3), config_.kernel, config_.stride, config_.padding);
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("Conv2D: output would be empty");
-  return backend_ == ConvBackend::kDirect ? forward_direct(input)
-                                          : forward_gemm(input, training);
-}
-
-Tensor Conv2D::backward(const Tensor& grad_output) {
-  return backend_ == ConvBackend::kDirect ? backward_direct(grad_output)
-                                          : backward_gemm(grad_output);
-}
-
-// ---------------------------------------------------------------------------
-// im2col + GEMM backend.
-//
-// Per batch item: col = im2col(x) with rows in weight order, so
-// y (c_out x oh*ow) = W (c_out x rows) * col, and in backward
-// dW += dy * col^T and dx = col2im(W^T * dy).
-
-Tensor Conv2D::forward_gemm(const Tensor& input, bool training) {
-  const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int k = config_.kernel, c_out = config_.out_channels;
-  const Im2ColGeom2D g{c_in, h,
-                       w,    k,
-                       config_.stride, config_.padding,
-                       out_size(h, k, config_.stride, config_.padding),
-                       out_size(w, k, config_.stride, config_.padding)};
-  const int rows = g.rows();
-  const std::size_t cols = g.cols();
-  const std::size_t per_item = static_cast<std::size_t>(rows) * cols;
-
-  // A training forward must keep the lowering for backward's weight
-  // gradient; inference lowers into reusable thread-local arena scratch
-  // so serving holds no per-layer column buffers.
-  ScratchArena& arena = ScratchArena::local();
-  ScratchArena::Scope scope(arena);
-  float* col;
+  const Im2ColGeom3D g = geometry(config_, input);
+  if (g.oh <= 0 || g.ow <= 0) throw std::invalid_argument("Conv2D: output would be empty");
   if (training) {
-    if (col_.size() < static_cast<std::size_t>(n) * per_item) {
-      col_.resize(static_cast<std::size_t>(n) * per_item);
-    }
-    col = col_.data();
-    col_valid_ = true;
+    cached_input_ = input;
   } else {
-    col = arena.floats(static_cast<std::size_t>(n) * per_item);
-    col_valid_ = false;
+    cached_input_ = Tensor();
   }
-
-  const float* x = input.data();
-  // Lower: each job owns one (batch, channel) block of whole rows.
-  ThreadPool::global().parallel_for(static_cast<std::size_t>(n) * c_in, [&](std::size_t job) {
-    const int bi = static_cast<int>(job) / c_in;
-    const int ic = static_cast<int>(job) % c_in;
-    im2col_2d(x + static_cast<std::size_t>(bi) * c_in * h * w, g, ic * g.rows_per_channel(),
-              (ic + 1) * g.rows_per_channel(), col + bi * per_item);
-  });
-
-  Tensor out({n, c_out, g.oh, g.ow});
-  float* y = out.data();
-  for (int bi = 0; bi < n; ++bi) {
-    sgemm(Trans::kNo, Trans::kNo, c_out, static_cast<int>(cols), rows, 1.0f,
-          weight_.value.data(), rows, col + bi * per_item, static_cast<int>(cols), 0.0f,
-          y + static_cast<std::size_t>(bi) * c_out * cols, static_cast<int>(cols));
-  }
-
-  if (config_.bias) {
-    const float* b = bias_.value.data();
-    ThreadPool::global().parallel_for(static_cast<std::size_t>(n) * c_out, [&](std::size_t job) {
-      const float bv = b[job % c_out];
-      float* row = y + job * cols;
-      for (std::size_t m = 0; m < cols; ++m) row[m] += bv;
-    });
-  }
+  backward_ready_ = training;
+  Tensor out({input.dim(0), config_.out_channels, g.oh, g.ow});
+  conv_forward(g, input.dim(0), config_.out_channels, input.data(), weight_.value.data(),
+               config_.bias ? bias_.value.data() : nullptr, out.data(),
+               training ? &col_ : nullptr);
   return out;
 }
 
-Tensor Conv2D::backward_gemm(const Tensor& grad_output) {
-  const Tensor& input = cached_input_;
-  const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int k = config_.kernel, c_out = config_.out_channels;
-  const Im2ColGeom2D g{c_in, h,
-                       w,    k,
-                       config_.stride, config_.padding,
-                       grad_output.dim(2), grad_output.dim(3)};
-  const int rows = g.rows();
-  const std::size_t cols = g.cols();
-  const std::size_t per_item = static_cast<std::size_t>(rows) * cols;
-  if (!col_valid_) {
+Tensor Conv2D::backward(const Tensor& grad_output) {
+  if (!backward_ready_) {
     throw std::logic_error(
         "Conv2D: backward requires a preceding forward with training=true "
         "(inference forwards do not retain the im2col lowering)");
   }
-  ScratchArena& arena = ScratchArena::local();
-  ScratchArena::Scope scope(arena);
-  float* col_grad = arena.floats(per_item);
-
-  const float* go = grad_output.data();
-  float* gw = weight_.grad.data();
-
-  if (config_.bias) {
-    float* gb = bias_.grad.data();
-    ThreadPool::global().parallel_for(static_cast<std::size_t>(c_out), [&](std::size_t oc) {
-      double acc = 0.0;
-      for (int bi = 0; bi < n; ++bi) {
-        const float* row = go + (static_cast<std::size_t>(bi) * c_out + oc) * cols;
-        for (std::size_t m = 0; m < cols; ++m) acc += row[m];
-      }
-      gb[oc] += static_cast<float>(acc);
-    });
-  }
-
-  // dW += dy_b * col_b^T, accumulated over the batch (col_ still holds
-  // this layer's lowering from the matching forward call).
-  for (int bi = 0; bi < n; ++bi) {
-    sgemm(Trans::kNo, Trans::kTrans, c_out, rows, static_cast<int>(cols), 1.0f,
-          go + static_cast<std::size_t>(bi) * c_out * cols, static_cast<int>(cols),
-          col_.data() + bi * per_item, static_cast<int>(cols), 1.0f, gw, rows);
-  }
-
-  Tensor grad_input({n, c_in, h, w}, 0.0f);
-  float* gi = grad_input.data();
-  for (int bi = 0; bi < n; ++bi) {
-    // dcol = W^T * dy_b, then scatter back to image layout.
-    sgemm(Trans::kTrans, Trans::kNo, rows, static_cast<int>(cols), c_out, 1.0f,
-          weight_.value.data(), rows, go + static_cast<std::size_t>(bi) * c_out * cols,
-          static_cast<int>(cols), 0.0f, col_grad, static_cast<int>(cols));
-    float* gi_b = gi + static_cast<std::size_t>(bi) * c_in * h * w;
-    ThreadPool::global().parallel_for(static_cast<std::size_t>(c_in), [&](std::size_t ic) {
-      col2im_2d(col_grad, g, static_cast<int>(ic) * g.rows_per_channel(),
-                (static_cast<int>(ic) + 1) * g.rows_per_channel(), gi_b);
-    });
-  }
-  return grad_input;
-}
-
-// ---------------------------------------------------------------------------
-// Direct backend: the original naive loops, kept as the parity oracle.
-
-Tensor Conv2D::forward_direct(const Tensor& input) {
-  const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int k = config_.kernel, s = config_.stride, p = config_.padding;
-  const int c_out = config_.out_channels;
-  const int oh = out_size(h, k, s, p);
-  const int ow = out_size(w, k, s, p);
-
-  Tensor out({n, c_out, oh, ow});
-  const float* x = input.data();
-  const float* wgt = weight_.value.data();
-  const float* b = bias_.value.data();
-  float* y = out.data();
-
-  safecross::ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(n) * c_out, [&](std::size_t job) {
-        const int bi = static_cast<int>(job) / c_out;
-        const int oc = static_cast<int>(job) % c_out;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox) {
-            float acc = config_.bias ? b[oc] : 0.0f;
-            for (int ic = 0; ic < c_in; ++ic) {
-              for (int ky = 0; ky < k; ++ky) {
-                const int iy = oy * s - p + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (int kx = 0; kx < k; ++kx) {
-                  const int ix = ox * s - p + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  acc += x[((static_cast<std::size_t>(bi) * c_in + ic) * h + iy) * w + ix] *
-                         wgt[((static_cast<std::size_t>(oc) * c_in + ic) * k + ky) * k + kx];
-                }
-              }
-            }
-            y[((static_cast<std::size_t>(bi) * c_out + oc) * oh + oy) * ow + ox] = acc;
-          }
-        }
-      });
-  return out;
-}
-
-Tensor Conv2D::backward_direct(const Tensor& grad_output) {
-  const Tensor& input = cached_input_;
-  const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int k = config_.kernel, s = config_.stride, p = config_.padding;
-  const int c_out = config_.out_channels;
-  const int oh = grad_output.dim(2), ow = grad_output.dim(3);
-
-  Tensor grad_input({n, c_in, h, w}, 0.0f);
-  const float* x = input.data();
-  const float* go = grad_output.data();
-  const float* wgt = weight_.value.data();
-  float* gi = grad_input.data();
-  float* gw = weight_.grad.data();
-  float* gb = bias_.grad.data();
-
-  // Weight/bias gradients, parallel over output channels (each job owns
-  // disjoint slices of gw/gb).
-  safecross::ThreadPool::global().parallel_for(static_cast<std::size_t>(c_out), [&](std::size_t ocj) {
-    const int oc = static_cast<int>(ocj);
-    for (int bi = 0; bi < n; ++bi) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          const float g = go[((static_cast<std::size_t>(bi) * c_out + oc) * oh + oy) * ow + ox];
-          if (config_.bias) gb[oc] += g;
-          for (int ic = 0; ic < c_in; ++ic) {
-            for (int ky = 0; ky < k; ++ky) {
-              const int iy = oy * s - p + ky;
-              if (iy < 0 || iy >= h) continue;
-              for (int kx = 0; kx < k; ++kx) {
-                const int ix = ox * s - p + kx;
-                if (ix < 0 || ix >= w) continue;
-                gw[((static_cast<std::size_t>(oc) * c_in + ic) * k + ky) * k + kx] +=
-                    g * x[((static_cast<std::size_t>(bi) * c_in + ic) * h + iy) * w + ix];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-
-  // Input gradient, parallel over batch (each job owns one batch slice).
-  safecross::ThreadPool::global().parallel_for(static_cast<std::size_t>(n), [&](std::size_t bij) {
-    const int bi = static_cast<int>(bij);
-    for (int oc = 0; oc < c_out; ++oc) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          const float g = go[((static_cast<std::size_t>(bi) * c_out + oc) * oh + oy) * ow + ox];
-          for (int ic = 0; ic < c_in; ++ic) {
-            for (int ky = 0; ky < k; ++ky) {
-              const int iy = oy * s - p + ky;
-              if (iy < 0 || iy >= h) continue;
-              for (int kx = 0; kx < k; ++kx) {
-                const int ix = ox * s - p + kx;
-                if (ix < 0 || ix >= w) continue;
-                gi[((static_cast<std::size_t>(bi) * c_in + ic) * h + iy) * w + ix] +=
-                    g * wgt[((static_cast<std::size_t>(oc) * c_in + ic) * k + ky) * k + kx];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
+  Tensor grad_input(cached_input_.shape(), 0.0f);
+  conv_backward(geometry(config_, cached_input_), cached_input_.dim(0), config_.out_channels,
+                grad_output.data(), weight_.value.data(), col_.data(), grad_input.data(),
+                weight_.grad.data(), config_.bias ? bias_.grad.data() : nullptr);
   return grad_input;
 }
 

@@ -2,14 +2,12 @@
 // 2-D convolution over (N, C, H, W) tensors, with stride and zero padding.
 //
 // Used by the TSN/ResNet-lite/Inception-lite 2-D backbones and the
-// YOLO-lite detector. Two backends (see conv_backend.h): the default
-// lowers each image to an im2col matrix and runs a cache-blocked GEMM
-// against the flattened weight; kDirect keeps the original naive loops,
-// parallelized over (batch x output-channel), as a parity oracle.
+// YOLO-lite detector. It runs Conv3D's im2col + GEMM lowering
+// (nn/im2col.h) at t = 1 with a 1-frame kernel; only the 4-D shapes of
+// its tensors and parameters are its own.
 
 #include <vector>
 
-#include "nn/conv_backend.h"
 #include "nn/layer.h"
 
 namespace safecross::nn {
@@ -21,7 +19,6 @@ struct Conv2DConfig {
   int stride = 1;
   int padding = 1;
   bool bias = true;
-  ConvBackend backend = ConvBackend::kAuto;
 };
 
 class Conv2D final : public Layer {
@@ -37,31 +34,17 @@ class Conv2D final : public Layer {
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
 
-  /// The concrete backend this layer resolved to (never kAuto).
-  ConvBackend backend() const { return backend_; }
-
   /// Output spatial size for a given input size.
   static int out_size(int in, int kernel, int stride, int padding);
 
  private:
-  Tensor forward_direct(const Tensor& input);
-  Tensor backward_direct(const Tensor& grad_output);
-  Tensor forward_gemm(const Tensor& input, bool training);
-  Tensor backward_gemm(const Tensor& grad_output);
-
   Conv2DConfig config_;
-  ConvBackend backend_;
   Param weight_;  // (out_c, in_c, k, k)
   Param bias_;    // (out_c)
+  // Backward state, written only by training forwards (as in Conv3D).
   Tensor cached_input_;
-  // GEMM-backend state: a training forward keeps the lowered batch
-  // (n x rows x cols) here because backward reuses it for the weight
-  // gradient. Inference forwards lower into the calling thread's
-  // ScratchArena instead — nothing stays resident per layer — so
-  // col_valid_ gates backward against a missing lowering. Backward's own
-  // per-item gradient matrix is always arena scratch.
   std::vector<float> col_;
-  bool col_valid_ = false;
+  bool backward_ready_ = false;
 };
 
 }  // namespace safecross::nn

@@ -3,14 +3,12 @@
 //
 // The workhorse of the SlowFast pathways and the C3D baseline: temporal
 // kernel x spatial kernel with independent strides, zero padding.
-// Two backends (see conv_backend.h): the default lowers the batch one
-// tile of output planes at a time with im2col_3d and multiplies each
-// tile while it is in cache; kDirect keeps the original range-clipped
-// loops as a parity oracle.
+// Forward and backward run the shared im2col + GEMM lowering
+// (nn/im2col.h), which lowers the batch one tile of output planes at a
+// time and multiplies each tile while it is in cache.
 
 #include <vector>
 
-#include "nn/conv_backend.h"
 #include "nn/layer.h"
 
 namespace safecross::nn {
@@ -25,7 +23,6 @@ struct Conv3DConfig {
   int pad_t = 1;
   int pad_s = 1;
   bool bias = true;
-  ConvBackend backend = ConvBackend::kAuto;
 };
 
 class Conv3D final : public Layer {
@@ -40,24 +37,15 @@ class Conv3D final : public Layer {
   const Conv3DConfig& config() const { return config_; }
   Param& weight() { return weight_; }
 
-  /// The concrete backend this layer resolved to (never kAuto).
-  ConvBackend backend() const { return backend_; }
-
   static int out_size(int in, int kernel, int stride, int padding);
 
  private:
-  Tensor forward_direct(const Tensor& input);
-  Tensor backward_direct(const Tensor& grad_output);
-  Tensor forward_gemm(const Tensor& input, bool training);
-  Tensor backward_gemm(const Tensor& grad_output);
-
   Conv3DConfig config_;
-  ConvBackend backend_;
   Param weight_;  // (out_c, in_c, kt, ks, ks)
   Param bias_;    // (out_c)
-  // Backward state, written only by training forwards: the input, and
-  // for the GEMM backend the lowered batch for the weight gradient.
-  // Inference forwards lower into per-thread ScratchArena tiles instead.
+  // Backward state, written only by training forwards: the input and the
+  // lowered batch for the weight gradient. Inference forwards lower into
+  // per-thread ScratchArena tiles instead.
   Tensor cached_input_;
   std::vector<float> col_;
   bool backward_ready_ = false;

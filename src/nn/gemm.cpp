@@ -92,7 +92,6 @@ void scalar_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
 // (zero allocation at steady state) so the microkernel streams aligned,
 // contiguous, transpose-free strips whatever the caller's layout was.
 
-template <bool kHalf>
 void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, int k, float alpha,
                  const float* a, int lda, const float* b, int ldb, float beta, float* c, int ldc) {
   using namespace detail;
@@ -107,8 +106,7 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
   // skip the pack entirely (only the sub-16 column tail is packed, for
   // zero-padding). This is the im2col conv-forward shape — m = c_out,
   // n = output positions — where packing B would double memory traffic.
-  // (The fp16 path always packs: rounding happens at pack time.)
-  const bool b_direct = !kHalf && trans_b == Trans::kNo && mc <= 2 * kMr;
+  const bool b_direct = trans_b == Trans::kNo && mc <= 2 * kMr;
 
   ScratchArena& arena = ScratchArena::local();
   ScratchArena::Scope scope(arena);
@@ -118,8 +116,8 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
 
   for (int k0 = 0; k0 < k; k0 += kKc) {
     const int kc = std::min(kKc, k - k0);
-    pack_a<kHalf>(trans_a, a, lda, i0, mc, k0, kc, pa);
-    if (!b_direct) pack_b<kHalf>(trans_b, b, ldb, k0, kc, j0, nc, pb);
+    pack_a(trans_a, a, lda, i0, mc, k0, kc, pa);
+    if (!b_direct) pack_b(trans_b, b, ldb, k0, kc, j0, nc, pb);
     // The first slab applies the caller's beta; later slabs accumulate.
     const float beta_eff = k0 == 0 ? beta : 1.0f;
     for (int jr = 0; jr < nc; jr += kNr) {
@@ -128,7 +126,7 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
       if (!b_direct) {
         bstrip = pb + static_cast<std::size_t>(jr) * kc;
       } else if (nr < kNr) {
-        pack_b<kHalf>(trans_b, b, ldb, k0, kc, j0 + jr, nr, pb);
+        pack_b(trans_b, b, ldb, k0, kc, j0 + jr, nr, pb);
         bstrip = pb;
       }
       for (int ir = 0; ir < mc; ir += kMr) {
@@ -155,12 +153,8 @@ void run_tile(GemmKernel kernel, Trans trans_a, Trans trans_b, int i0, int i1, i
     case GemmKernel::kScalar:
       scalar_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
       break;
-    case GemmKernel::kFp16:
-      packed_tile<true>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
-      break;
     default:
-      packed_tile<false>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c,
-                         ldc);
+      packed_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
       break;
   }
 }

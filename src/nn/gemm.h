@@ -1,7 +1,7 @@
 #pragma once
 // Packed, cache-blocked single-precision GEMM on row-major matrices.
 //
-// The compute core of the im2col convolution backend and of Linear:
+// The compute core of the im2col convolution lowering and of Linear:
 // C = alpha * op(A) * op(B) + beta * C, with op in {identity, transpose}.
 //
 // The default kernel packs A/B panels into per-worker scratch arenas and
@@ -21,20 +21,18 @@ namespace safecross::nn {
 
 enum class Trans { kNo, kTrans };
 
-/// Which compute kernel sgemm runs. Mirrors nn::ConvBackend's pattern:
-/// kAuto consults the SAFECROSS_GEMM_KERNEL environment variable.
+/// Which compute kernel sgemm runs; kAuto consults the
+/// SAFECROSS_GEMM_KERNEL environment variable.
 enum class GemmKernel {
   kAuto,    // resolve from SAFECROSS_GEMM_KERNEL, default micro
   kMicro,   // packed panels + 6x16 register-tiled FMA microkernel
   kScalar,  // unpacked tile loops; portable fallback and parity oracle
-  kFp16,    // micro kernel with fp16-storage / fp32-accumulate packing
 };
 
 /// Collapse kAuto to a concrete kernel via SAFECROSS_GEMM_KERNEL
-/// ("micro", "scalar", "fp16"; "auto"/unset mean micro). Unlike the conv
-/// backend resolver this throws on an unknown value — a typo'd kernel
-/// selection in a CI job must fail loudly, not silently benchmark the
-/// wrong code path.
+/// ("micro", "scalar"; "auto"/unset mean micro). Throws on an unknown
+/// value: a typo'd kernel selection in a CI job must fail loudly, not
+/// silently benchmark the wrong code path.
 inline GemmKernel resolve_gemm_kernel(GemmKernel requested) {
   if (requested != GemmKernel::kAuto) return requested;
   const char* env = std::getenv("SAFECROSS_GEMM_KERNEL");
@@ -42,9 +40,8 @@ inline GemmKernel resolve_gemm_kernel(GemmKernel requested) {
     return GemmKernel::kMicro;
   }
   if (std::strcmp(env, "scalar") == 0) return GemmKernel::kScalar;
-  if (std::strcmp(env, "fp16") == 0) return GemmKernel::kFp16;
   throw std::invalid_argument(std::string("SAFECROSS_GEMM_KERNEL: unknown kernel '") + env +
-                              "' (expected auto|micro|scalar|fp16)");
+                              "' (expected auto|micro|scalar)");
 }
 
 /// C (m x n) = alpha * op(A) (m x k) * op(B) (k x n) + beta * C.

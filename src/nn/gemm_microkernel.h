@@ -14,15 +14,9 @@
 //     the compiler lowers it to whatever the build ISA offers: one
 //     16-lane zmm row on AVX-512, two ymm on AVX2, four xmm on SSE —
 //     the same source is the dispatch table across widths.
-//
-// Packing is templated on the storage type of the panel: float for the
-// default kernel, fp16-rounded floats (common/half.h) for the
-// reduced-precision path — storage loses precision, accumulation stays
-// fp32.
 
 #include <cstddef>
 
-#include "common/half.h"
 #include "nn/gemm.h"
 
 namespace safecross::nn::detail {
@@ -35,7 +29,6 @@ inline constexpr int kNc = 512;  // cols per macro-tile (32 kNr strips)
 
 /// Pack op(A) rows [i0, i0 + mc) x k [k0, k0 + kc) into kMr strips.
 /// pa must hold ceil(mc / kMr) * kMr * kc floats.
-template <bool kHalf>
 inline void pack_a(Trans trans_a, const float* a, int lda, int i0, int mc, int k0, int kc,
                    float* pa) {
   for (int s = 0; s < mc; s += kMr) {
@@ -46,10 +39,7 @@ inline void pack_a(Trans trans_a, const float* a, int lda, int i0, int mc, int k
       // the k-major strip.
       for (int r = 0; r < rows; ++r) {
         const float* src = a + static_cast<std::size_t>(i0 + s + r) * lda + k0;
-        for (int kk = 0; kk < kc; ++kk) {
-          const float v = src[kk];
-          strip[static_cast<std::size_t>(kk) * kMr + r] = kHalf ? fp16_round(v) : v;
-        }
+        for (int kk = 0; kk < kc; ++kk) strip[static_cast<std::size_t>(kk) * kMr + r] = src[kk];
       }
     } else {
       // op(A)(i, kk) = a[kk * lda + i]: source rows are contiguous in i,
@@ -57,7 +47,7 @@ inline void pack_a(Trans trans_a, const float* a, int lda, int i0, int mc, int k
       for (int kk = 0; kk < kc; ++kk) {
         const float* src = a + static_cast<std::size_t>(k0 + kk) * lda + i0 + s;
         float* dst = strip + static_cast<std::size_t>(kk) * kMr;
-        for (int r = 0; r < rows; ++r) dst[r] = kHalf ? fp16_round(src[r]) : src[r];
+        for (int r = 0; r < rows; ++r) dst[r] = src[r];
       }
     }
     if (rows < kMr) {
@@ -70,7 +60,6 @@ inline void pack_a(Trans trans_a, const float* a, int lda, int i0, int mc, int k
 
 /// Pack op(B) k [k0, k0 + kc) x cols [j0, j0 + nc) into kNr strips.
 /// pb must hold ceil(nc / kNr) * kNr * kc floats.
-template <bool kHalf>
 inline void pack_b(Trans trans_b, const float* b, int ldb, int k0, int kc, int j0, int nc,
                    float* pb) {
   for (int s = 0; s < nc; s += kNr) {
@@ -81,17 +70,14 @@ inline void pack_b(Trans trans_b, const float* b, int ldb, int k0, int kc, int j
       for (int kk = 0; kk < kc; ++kk) {
         const float* src = b + static_cast<std::size_t>(k0 + kk) * ldb + j0 + s;
         float* dst = strip + static_cast<std::size_t>(kk) * kNr;
-        for (int c = 0; c < cols; ++c) dst[c] = kHalf ? fp16_round(src[c]) : src[c];
+        for (int c = 0; c < cols; ++c) dst[c] = src[c];
       }
     } else {
       // op(B)(kk, j) = b[j * ldb + kk]: walk each stored row (contiguous
       // in kk) and scatter into the strips.
       for (int c = 0; c < cols; ++c) {
         const float* src = b + static_cast<std::size_t>(j0 + s + c) * ldb + k0;
-        for (int kk = 0; kk < kc; ++kk) {
-          const float v = src[kk];
-          strip[static_cast<std::size_t>(kk) * kNr + c] = kHalf ? fp16_round(v) : v;
-        }
+        for (int kk = 0; kk < kc; ++kk) strip[static_cast<std::size_t>(kk) * kNr + c] = src[kk];
       }
     }
     if (cols < kNr) {

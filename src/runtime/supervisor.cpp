@@ -56,10 +56,6 @@ void Supervisor::add_stage(std::string name, Body body, Body fallback, Body on_e
   stages_.push_back(std::move(stage));
 }
 
-void Supervisor::set_give_up_hook(std::function<void(const std::string&)> hook) {
-  give_up_hook_ = std::move(hook);
-}
-
 void Supervisor::start() {
   started_ = true;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
@@ -139,7 +135,6 @@ void Supervisor::run_stage(Stage& stage, std::uint64_t seed) {
   }
   if (!clean_exit && !stop_requested() && attempt > policy_.max_restarts) {
     stage.gave_up.store(true, std::memory_order_release);
-    if (give_up_hook_) give_up_hook_(stage.name);
     if (stage.fallback) {
       // Degraded mode: the fallback keeps the pipeline's contract alive
       // (conservative output, queues still moving). It gets no restarts —

@@ -9,9 +9,9 @@
 //        │                     │ (attempt <= max_restarts)
 //        │ returns             │ attempt > max_restarts
 //        ▼                     ▼
-//   clean exit            give up: fire the give-up hook and run the
-//                         stage's degraded fallback body (the server
-//                         marks the stream down and latches its
+//   clean exit            give up: run the stage's degraded
+//                         fallback body (the server marks the
+//                         stream down and latches its
 //                         HealthMonitor into FailSafe)
 //
 // The backoff policy (initial delay, multiplier, cap, jitter, retry
@@ -87,10 +87,6 @@ class Supervisor {
   ///              queues here so consumers never wait on a dead producer.
   void add_stage(std::string name, Body body, Body fallback = nullptr, Body on_exit = nullptr);
 
-  /// Fired (from the failing stage's own thread) when a stage exhausts
-  /// its retry budget. Must be thread-safe; set before start().
-  void set_give_up_hook(std::function<void(const std::string&)> hook);
-
   void start();
   /// Wait for every stage thread to finish on its own (normal pipeline
   /// completion: sources exhaust, queues drain, sinks exit).
@@ -126,7 +122,6 @@ class Supervisor {
 
   BackoffPolicy policy_;
   std::uint64_t seed_;
-  std::function<void(const std::string&)> give_up_hook_;
   std::vector<std::unique_ptr<Stage>> stages_;
   std::atomic<bool> stop_{false};
   bool started_ = false;

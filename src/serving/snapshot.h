@@ -35,7 +35,8 @@ namespace safecross::serving {
 class SnapshotStore {
  public:
   static constexpr std::uint32_t kMagic = 0x4E535853u;  // "SXSN"
-  static constexpr std::uint32_t kVersion = 2;  // v2: detached flags in the payload
+  // v2: detached flags in the payload; v3: no scorecard latency list.
+  static constexpr std::uint32_t kVersion = 3;
 
   /// Opens (and creates) `dir`; scans existing generations so the next
   /// write() continues the sequence instead of reusing a burned number.

@@ -118,9 +118,8 @@ std::optional<ReadyWindow> StreamContext::tick() {
 }
 
 void StreamContext::apply(const ReadyWindow& w, int predicted_class, float prob_danger,
-                          bool warn, DecisionSource source, double latency_ms) {
+                          bool warn, DecisionSource source) {
   scorecard_.score(w.danger_truth, predicted_class, warn, source);
-  scorecard_.record_latency(latency_ms);
   if (record_trace_) {
     if (trace_.size() <= w.seq) trace_.resize(w.seq + 1);
     trace_[w.seq] = {w.frame,       w.danger_truth, predicted_class, prob_danger,

@@ -162,7 +162,7 @@ class StreamContext {
   /// Score one verdict for one of this stream's windows. Inference-side
   /// only (batcher thread / sequential runner).
   void apply(const ReadyWindow& w, int predicted_class, float prob_danger, bool warn,
-             runtime::DecisionSource source, double latency_ms);
+             runtime::DecisionSource source);
 
   core::StreamScorecard& scorecard() { return scorecard_; }
   const core::StreamScorecard& scorecard() const { return scorecard_; }

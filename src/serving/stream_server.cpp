@@ -256,7 +256,7 @@ bool StreamServer::apply_replayed(const ReadyWindow& w) {
     throw std::runtime_error("StreamServer: journal replay diverged from re-produced window");
   }
   streams_[w.stream]->apply(w, e.predicted_class, e.prob_danger, e.warn,
-                            static_cast<DecisionSource>(e.source), e.latency_ms);
+                            static_cast<DecisionSource>(e.source));
   pend.erase(it);
   ++decisions_since_snapshot_;
   note_applied(e.latency_ms);
@@ -498,7 +498,7 @@ void StreamServer::decide_fail_safe(const ReadyWindow& w) {
   const double latency =
       std::chrono::duration<double, std::milli>(Clock::now() - w.captured).count();
   journal_decision(w, d, latency);
-  streams_[w.stream]->apply(w, d.predicted_class, d.prob_danger, d.warn, d.source, latency);
+  streams_[w.stream]->apply(w, d.predicted_class, d.prob_danger, d.warn, d.source);
   ++decisions_since_snapshot_;
   note_applied(latency);
 }
@@ -543,7 +543,7 @@ void StreamServer::decide_batch(Batch& batch) {
     // Write-ahead: the verdict is durable before it is applied. A kill
     // between the two re-applies it from the journal on recovery.
     journal_decision(item, d, latency);
-    ctx.apply(item, d.predicted_class, d.prob_danger, d.warn, d.source, latency);
+    ctx.apply(item, d.predicted_class, d.prob_danger, d.warn, d.source);
     ++decisions_since_snapshot_;
     note_applied(latency);
   }
@@ -1143,7 +1143,7 @@ void StreamServer::run_sequential() {
         d.source = DecisionSource::FailSafeDeadline;
       }
       journal_decision(*w, d, ms);
-      ctx.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source, ms);
+      ctx.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source);
       ++decisions_since_snapshot_;
       note_applied(ms);
       if (snapshot_due()) write_snapshot_now();

@@ -364,12 +364,13 @@ TEST(GoldenTrace, ServerKillRecoverMatchesSnapshot) {
   server.run_sequential();
 
   GoldenTrace got;
-  got.meta.emplace_back("recovered_from_snapshot", report.recovered_from_snapshot ? 1 : 0);
-  got.meta.emplace_back("snapshot_generation",
-                        static_cast<long long>(report.snapshot_generation));
-  got.meta.emplace_back("journal_records", static_cast<long long>(report.journal_records));
-  got.meta.emplace_back("journal_pending", static_cast<long long>(report.journal_pending));
-  got.meta.emplace_back("journal_torn_tail", report.journal_torn_tail ? 1 : 0);
+  got.meta = {
+      {"recovered_from_snapshot", report.recovered_from_snapshot ? 1 : 0},
+      {"snapshot_generation", static_cast<long long>(report.snapshot_generation)},
+      {"journal_records", static_cast<long long>(report.journal_records)},
+      {"journal_pending", static_cast<long long>(report.journal_pending)},
+      {"journal_torn_tail", report.journal_torn_tail ? 1 : 0},
+  };
   for (std::size_t i = 0; i < server.stream_count(); ++i) {
     const auto& trace = server.stream(i).trace();
     for (std::size_t s = 0; s < trace.size(); ++s) {

@@ -101,9 +101,8 @@ TEST(GradCheck, Conv3DTimeStrided) {
   check_layer(layer, random_tensor({2, 1, 8, 3, 4}, 12));
 }
 
-// Backend-pinned gradient checks: the tests above run on the default
-// (im2col) backend; these pin each backend explicitly on geometries where
-// the im2col range math has the most edge cases.
+// Gradient checks on the geometries where the im2col range math has the
+// most edge cases.
 
 TEST(GradCheck, Conv2DBackendsOddStridePadding) {
   nn::Conv2DConfig cfg;
@@ -112,13 +111,10 @@ TEST(GradCheck, Conv2DBackendsOddStridePadding) {
   cfg.kernel = 5;
   cfg.stride = 3;
   cfg.padding = 2;
-  for (const auto backend : {nn::ConvBackend::kDirect, nn::ConvBackend::kIm2col}) {
-    cfg.backend = backend;
-    nn::Conv2D layer(cfg);
-    Rng rng(41);
-    nn::init_params(layer.params(), rng);
-    check_layer(layer, random_tensor({2, 2, 11, 8}, 42));
-  }
+  nn::Conv2D layer(cfg);
+  Rng rng(41);
+  nn::init_params(layer.params(), rng);
+  check_layer(layer, random_tensor({2, 2, 11, 8}, 42));
 }
 
 TEST(GradCheck, Conv3DBackendsOddStridePadding) {
@@ -131,13 +127,10 @@ TEST(GradCheck, Conv3DBackendsOddStridePadding) {
   cfg.stride_s = 3;
   cfg.pad_t = 1;
   cfg.pad_s = 2;
-  for (const auto backend : {nn::ConvBackend::kDirect, nn::ConvBackend::kIm2col}) {
-    cfg.backend = backend;
-    nn::Conv3D layer(cfg);
-    Rng rng(43);
-    nn::init_params(layer.params(), rng);
-    check_layer(layer, random_tensor({1, 2, 5, 9, 7}, 44));
-  }
+  nn::Conv3D layer(cfg);
+  Rng rng(43);
+  nn::init_params(layer.params(), rng);
+  check_layer(layer, random_tensor({1, 2, 5, 9, 7}, 44));
 }
 
 TEST(GradCheck, MaxPool2D) {

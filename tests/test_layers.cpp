@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 
+#include "conv_reference.h"
 #include "gradcheck.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -75,16 +75,12 @@ TEST(Conv3D, EmptyOutputRejected) {
   EXPECT_THROW(conv.forward(Tensor({1, 1, 3, 4, 4}), false), std::invalid_argument);
 }
 
-// --- direct vs im2col backend parity -------------------------------------
+// --- layer vs reference-loop parity ---------------------------------------
 //
-// Both backends must agree on forward outputs, input gradients, and
-// parameter gradients for every geometry — tested on deliberately awkward
-// strides and paddings where the im2col range math is easiest to get wrong.
-
-void copy_params(std::vector<Param*> from, std::vector<Param*> to) {
-  ASSERT_EQ(from.size(), to.size());
-  for (std::size_t i = 0; i < from.size(); ++i) to[i]->value = from[i]->value;
-}
+// The im2col + GEMM layers must agree with the naive reference loops
+// (conv_reference.h) on forward outputs, input gradients, and parameter
+// gradients for every geometry — tested on deliberately awkward strides
+// and paddings where the im2col range math is easiest to get wrong.
 
 void expect_tensors_near(const Tensor& a, const Tensor& b, float tol, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
@@ -93,48 +89,50 @@ void expect_tensors_near(const Tensor& a, const Tensor& b, float tol, const char
   }
 }
 
-void expect_conv2d_backend_parity(Conv2DConfig cfg, const std::vector<int>& in_shape,
-                                  std::uint64_t seed) {
-  cfg.backend = ConvBackend::kDirect;
-  Conv2D direct(cfg);
-  cfg.backend = ConvBackend::kIm2col;
-  Conv2D gemm(cfg);
-  ASSERT_EQ(direct.backend(), ConvBackend::kDirect);
-  ASSERT_EQ(gemm.backend(), ConvBackend::kIm2col);
-  copy_params(direct.params(), gemm.params());
+void expect_conv2d_matches_reference(const Conv2DConfig& cfg, const std::vector<int>& in_shape,
+                                     std::uint64_t seed) {
+  Conv2D conv(cfg);
+  Rng rng(seed ^ 0xC0u);
+  init_params(conv.params(), rng);
+  for (std::size_t i = 0; i < conv.bias().value.numel(); ++i) {
+    conv.bias().value[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
 
   const Tensor x = random_tensor(in_shape, seed);
-  const Tensor y_direct = direct.forward(x, true);
-  const Tensor y_gemm = gemm.forward(x, true);
-  expect_tensors_near(y_direct, y_gemm, 1e-4f, "forward");
+  const Tensor y = conv.forward(x, true);
+  expect_tensors_near(
+      testing::reference_conv2d_forward(cfg, x, conv.weight().value, conv.bias().value), y, 1e-4f,
+      "forward");
 
-  const Tensor gy = random_tensor(y_direct.shape(), seed ^ 0x5EEDu);
-  const Tensor gx_direct = direct.backward(gy);
-  const Tensor gx_gemm = gemm.backward(gy);
-  expect_tensors_near(gx_direct, gx_gemm, 1e-4f, "grad_input");
-  expect_tensors_near(direct.weight().grad, gemm.weight().grad, 1e-4f, "grad_weight");
-  expect_tensors_near(direct.bias().grad, gemm.bias().grad, 1e-4f, "grad_bias");
+  const Tensor gy = random_tensor(y.shape(), seed ^ 0x5EEDu);
+  const testing::ConvGrads ref =
+      testing::reference_conv2d_backward(cfg, x, conv.weight().value, gy);
+  expect_tensors_near(ref.input, conv.backward(gy), 1e-4f, "grad_input");
+  expect_tensors_near(ref.weight, conv.weight().grad, 1e-4f, "grad_weight");
+  expect_tensors_near(ref.bias, conv.bias().grad, 1e-4f, "grad_bias");
 }
 
-void expect_conv3d_backend_parity(Conv3DConfig cfg, const std::vector<int>& in_shape,
-                                  std::uint64_t seed) {
-  cfg.backend = ConvBackend::kDirect;
-  Conv3D direct(cfg);
-  cfg.backend = ConvBackend::kIm2col;
-  Conv3D gemm(cfg);
-  copy_params(direct.params(), gemm.params());
+void expect_conv3d_matches_reference(const Conv3DConfig& cfg, const std::vector<int>& in_shape,
+                                     std::uint64_t seed) {
+  Conv3D conv(cfg);
+  Rng rng(seed ^ 0xC0u);
+  init_params(conv.params(), rng);
+  Param& bias = *conv.params()[1];
+  for (std::size_t i = 0; i < bias.value.numel(); ++i) {
+    bias.value[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
 
   const Tensor x = random_tensor(in_shape, seed);
-  const Tensor y_direct = direct.forward(x, true);
-  expect_tensors_near(y_direct, gemm.forward(x, true), 1e-4f, "forward");
+  const Tensor y = conv.forward(x, true);
+  expect_tensors_near(testing::reference_conv3d_forward(cfg, x, conv.weight().value, bias.value),
+                      y, 1e-4f, "forward");
 
-  const Tensor gy = random_tensor(y_direct.shape(), seed ^ 0x5EEDu);
-  expect_tensors_near(direct.backward(gy), gemm.backward(gy), 1e-4f, "grad_input");
-  const auto pd = direct.params();
-  const auto pg = gemm.params();
-  for (std::size_t i = 0; i < pd.size(); ++i) {
-    expect_tensors_near(pd[i]->grad, pg[i]->grad, 1e-4f, "param grad");
-  }
+  const Tensor gy = random_tensor(y.shape(), seed ^ 0x5EEDu);
+  const testing::ConvGrads ref =
+      testing::reference_conv3d_backward(cfg, x, conv.weight().value, gy);
+  expect_tensors_near(ref.input, conv.backward(gy), 1e-4f, "grad_input");
+  expect_tensors_near(ref.weight, conv.weight().grad, 1e-4f, "grad_weight");
+  expect_tensors_near(ref.bias, bias.grad, 1e-4f, "grad_bias");
 }
 
 TEST(Conv2D, BackendParityBasic) {
@@ -144,7 +142,7 @@ TEST(Conv2D, BackendParityBasic) {
   cfg.kernel = 3;
   cfg.stride = 1;
   cfg.padding = 1;
-  expect_conv2d_backend_parity(cfg, {2, 3, 9, 11}, 101);
+  expect_conv2d_matches_reference(cfg, {2, 3, 9, 11}, 101);
 }
 
 TEST(Conv2D, BackendParityOddStridePadding) {
@@ -154,7 +152,7 @@ TEST(Conv2D, BackendParityOddStridePadding) {
   cfg.kernel = 5;
   cfg.stride = 3;
   cfg.padding = 2;
-  expect_conv2d_backend_parity(cfg, {2, 2, 13, 10}, 102);
+  expect_conv2d_matches_reference(cfg, {2, 2, 13, 10}, 102);
 }
 
 TEST(Conv2D, BackendParityUnpaddedStride2) {
@@ -164,7 +162,7 @@ TEST(Conv2D, BackendParityUnpaddedStride2) {
   cfg.kernel = 4;
   cfg.stride = 2;
   cfg.padding = 0;
-  expect_conv2d_backend_parity(cfg, {3, 1, 12, 8}, 103);
+  expect_conv2d_matches_reference(cfg, {3, 1, 12, 8}, 103);
 }
 
 TEST(Conv3D, BackendParityBasic) {
@@ -175,7 +173,7 @@ TEST(Conv3D, BackendParityBasic) {
   cfg.kernel_s = 3;
   cfg.pad_t = 1;
   cfg.pad_s = 1;
-  expect_conv3d_backend_parity(cfg, {2, 2, 6, 7, 8}, 201);
+  expect_conv3d_matches_reference(cfg, {2, 2, 6, 7, 8}, 201);
 }
 
 TEST(Conv3D, BackendParityTemporalStride) {
@@ -190,7 +188,7 @@ TEST(Conv3D, BackendParityTemporalStride) {
   cfg.stride_s = 1;
   cfg.pad_t = 0;
   cfg.pad_s = 0;
-  expect_conv3d_backend_parity(cfg, {1, 2, 8, 5, 6}, 202);
+  expect_conv3d_matches_reference(cfg, {1, 2, 8, 5, 6}, 202);
 }
 
 TEST(Conv3D, BackendParityOddStridePadding) {
@@ -203,44 +201,20 @@ TEST(Conv3D, BackendParityOddStridePadding) {
   cfg.stride_s = 3;
   cfg.pad_t = 1;
   cfg.pad_s = 2;
-  expect_conv3d_backend_parity(cfg, {2, 3, 7, 11, 9}, 203);
+  expect_conv3d_matches_reference(cfg, {2, 3, 7, 11, 9}, 203);
 }
 
 TEST(Conv3D, BackwardAfterInferenceForwardThrows) {
-  for (const ConvBackend backend : {ConvBackend::kIm2col, ConvBackend::kDirect}) {
-    Conv3DConfig cfg;
-    cfg.in_channels = 2;
-    cfg.out_channels = 3;
-    cfg.backend = backend;
-    Conv3D conv(cfg);
-    const Tensor x = random_tensor({2, 2, 4, 5, 6}, 204);
-    const Tensor y = conv.forward(x, true);
-    EXPECT_NO_THROW(conv.backward(y));
-    // An inference forward drops the training state, even one left over.
-    conv.forward(x, false);
-    EXPECT_THROW(conv.backward(y), std::logic_error);
-  }
-}
-
-TEST(ConvBackend, EnvVarSelectsBackend) {
-  Conv2DConfig cfg;  // backend left at kAuto
-
-  ASSERT_EQ(setenv("SAFECROSS_CONV_BACKEND", "direct", 1), 0);
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kDirect);
-
-  ASSERT_EQ(setenv("SAFECROSS_CONV_BACKEND", "im2col", 1), 0);
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kIm2col);
-
-  // Unknown value and unset both fall back to the im2col default, and an
-  // explicit per-layer choice always beats the environment.
-  ASSERT_EQ(setenv("SAFECROSS_CONV_BACKEND", "bogus", 1), 0);
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kIm2col);
-  cfg.backend = ConvBackend::kDirect;
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kDirect);
-
-  ASSERT_EQ(unsetenv("SAFECROSS_CONV_BACKEND"), 0);
-  cfg.backend = ConvBackend::kAuto;
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kIm2col);
+  Conv3DConfig cfg;
+  cfg.in_channels = 2;
+  cfg.out_channels = 3;
+  Conv3D conv(cfg);
+  const Tensor x = random_tensor({2, 2, 4, 5, 6}, 204);
+  const Tensor y = conv.forward(x, true);
+  EXPECT_NO_THROW(conv.backward(y));
+  // An inference forward drops the training state, even one left over.
+  conv.forward(x, false);
+  EXPECT_THROW(conv.backward(y), std::logic_error);
 }
 
 TEST(MaxPool2D, PicksWindowMaximum) {

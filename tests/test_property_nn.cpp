@@ -1,5 +1,6 @@
 // Property-based tests of the nn substrate, swept with TEST_P.
 
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <tuple>
@@ -8,7 +9,12 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "conv_reference.h"
+#include "models/inception_lite.h"
+#include "models/resnet_lite.h"
 #include "models/slowfast.h"
+#include "models/tsn.h"
+#include "models/yolo_lite.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/conv3d.h"
@@ -155,7 +161,6 @@ TEST_P(Conv3DTileParity, InferenceTrainingAndPerItemForwardsAreBitIdentical) {
   cfg.stride_s = c.ss;
   cfg.pad_t = c.pt;
   cfg.pad_s = c.ps;
-  cfg.backend = ConvBackend::kIm2col;
   Conv3D conv(cfg);
   Rng rng(GetParam() ^ 0x7Au);
   init_params(conv.params(), rng);
@@ -218,7 +223,6 @@ TEST(Conv3DTileParitySweep, CoversTheTilingCorners) {
 // FMA, so one value is pinned per combination.
 TEST(Conv3DTileParitySweep, SlowFastOutputsMatchPinnedChecksum) {
   const GemmKernel kernel = resolve_gemm_kernel(GemmKernel::kAuto);
-  if (kernel == GemmKernel::kFp16) GTEST_SKIP() << "no checksum pinned for the fp16 kernel";
 #if defined(__FMA__)
   constexpr bool kFma = true;
 #else
@@ -239,6 +243,196 @@ TEST(Conv3DTileParitySweep, SlowFastOutputsMatchPinnedChecksum) {
                                      ? (kFma ? 0x31893764u : 0xc51c8643u)
                                      : (kFma ? 0x4bbf4236u : 0x24b9b618u);
   EXPECT_EQ(crc, expected) << std::hex << "crc 0x" << crc;
+}
+
+// ---------- Conv2D vs the reference loops over random geometries ----------
+
+struct Conv2DRefCase {
+  int n, in_c, out_c, k, stride, pad, h, w;
+  bool bias;
+};
+
+Conv2DRefCase random_conv2d_case(std::uint64_t seed) {
+  Rng rng(seed);
+  Conv2DRefCase c;
+  c.n = rng.uniform_int(1, 4);
+  c.in_c = rng.uniform_int(1, 6);
+  c.out_c = rng.uniform_int(1, 20);
+  c.k = rng.uniform_int(1, 5);
+  c.stride = rng.uniform_int(1, 3);
+  c.pad = rng.uniform_int(0, 2);
+  c.h = rng.uniform_int(c.k, 12);
+  c.w = rng.uniform_int(c.k, 14);
+  c.bias = rng.uniform_int(0, 1) == 1;
+  return c;
+}
+
+constexpr std::uint64_t kConv2DRefSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+
+class Conv2DReferenceParity : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(Conv2DReferenceParity, ForwardAndGradientsMatchTheReferenceLoops) {
+  const Conv2DRefCase c = random_conv2d_case(GetParam());
+  Conv2DConfig cfg;
+  cfg.in_channels = c.in_c;
+  cfg.out_channels = c.out_c;
+  cfg.kernel = c.k;
+  cfg.stride = c.stride;
+  cfg.padding = c.pad;
+  cfg.bias = c.bias;
+  Conv2D conv(cfg);
+  Rng rng(GetParam() ^ 0x2Du);
+  init_params(conv.params(), rng);
+  for (std::size_t i = 0; i < conv.bias().value.numel(); ++i) {
+    conv.bias().value[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+
+  auto expect_near = [](const Tensor& want, const Tensor& got, const char* what) {
+    ASSERT_EQ(want.shape(), got.shape()) << what;
+    for (std::size_t i = 0; i < want.numel(); ++i) {
+      ASSERT_NEAR(want[i], got[i], 1e-4f * (1.0f + std::abs(want[i]))) << what << " at " << i;
+    }
+  };
+  const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, GetParam() + 200);
+  const Tensor y = conv.forward(x, true);
+  expect_near(testing::reference_conv2d_forward(cfg, x, conv.weight().value, conv.bias().value),
+              y, "forward");
+
+  const Tensor gy = random_tensor(y.shape(), GetParam() + 300);
+  const testing::ConvGrads ref =
+      testing::reference_conv2d_backward(cfg, x, conv.weight().value, gy);
+  expect_near(ref.input, conv.backward(gy), "grad_input");
+  expect_near(ref.weight, conv.weight().grad, "grad_weight");
+  expect_near(ref.bias, conv.bias().grad, "grad_bias");
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGeometry, Conv2DReferenceParity,
+                         ::testing::ValuesIn(kConv2DRefSeeds));
+
+// The sweep above must include a bias-free layer, a 1x1 kernel and a
+// stride of 3.
+TEST(Conv2DReferenceParitySweep, CoversBiasOffKernelOneAndStrideThree) {
+  bool bias_off = false, kernel_one = false, stride_three = false;
+  for (const std::uint64_t seed : kConv2DRefSeeds) {
+    const Conv2DRefCase c = random_conv2d_case(seed);
+    bias_off |= !c.bias;
+    kernel_one |= c.k == 1;
+    stride_three |= c.stride == 3;
+  }
+  EXPECT_TRUE(bias_off);
+  EXPECT_TRUE(kernel_one);
+  EXPECT_TRUE(stride_three);
+}
+
+// ---------- 2-D model pins ----------
+//
+// The 2-D models' outputs and trained checkpoints, CRC'd and compared
+// with values recorded while Conv2D still had its own whole-panel
+// lowering. Like the SlowFast pin above, one value per GEMM kernel x FMA
+// build: {micro+FMA, micro, scalar+FMA, scalar}. The FMA values come
+// from a -march=native build on an AVX-512 host.
+
+struct PinnedCrc {
+  std::uint32_t micro_fma, micro_plain, scalar_fma, scalar_plain;
+};
+
+std::uint32_t expected_crc(const PinnedCrc& pin) {
+#if defined(__FMA__)
+  constexpr bool kFma = true;
+#else
+  constexpr bool kFma = false;
+#endif
+  return resolve_gemm_kernel(GemmKernel::kAuto) == GemmKernel::kScalar
+             ? (kFma ? pin.scalar_fma : pin.scalar_plain)
+             : (kFma ? pin.micro_fma : pin.micro_plain);
+}
+
+TEST(Conv2DPinnedBits, ResNetLiteLogitsMatchPinnedChecksum) {
+  std::uint32_t crc = 0;
+  for (const std::uint64_t init_seed : {31u, 32u}) {
+    models::ResNetLiteConfig cfg;
+    cfg.init_seed = init_seed;
+    models::ResNetLite model(cfg);
+    for (const int n : {1, 2, 3, 5}) {
+      const Tensor images = random_tensor({n, 1, 24, 36}, init_seed * 100 + n);
+      const Tensor scores = model.forward(images, false);
+      crc = common::crc32(scores.data(), scores.numel() * sizeof(float), crc);
+    }
+  }
+  EXPECT_EQ(crc, expected_crc({0x84eded1eu, 0x2ebb5951u, 0x53ab1717u, 0x2ebb5951u}))
+      << std::hex << "crc 0x" << crc;
+}
+
+TEST(Conv2DPinnedBits, YoloLiteOutputsMatchPinnedChecksum) {
+  std::uint32_t crc = 0;
+  for (const std::uint64_t init_seed : {33u, 34u}) {
+    models::YoloLiteConfig cfg;
+    cfg.in_height = 48;
+    cfg.in_width = 64;
+    cfg.init_seed = init_seed;
+    models::YoloLite model(cfg);
+    for (const int n : {1, 2, 3}) {
+      const Tensor frames = random_tensor({n, 1, 48, 64}, init_seed * 100 + n);
+      const Tensor pred = model.forward(frames, false);
+      crc = common::crc32(pred.data(), pred.numel() * sizeof(float), crc);
+    }
+  }
+  EXPECT_EQ(crc, expected_crc({0x119a470du, 0x92a984bcu, 0x119a470du, 0x92a984bcu}))
+      << std::hex << "crc 0x" << crc;
+}
+
+// One SGD step (training forward, backward of a fixed output gradient),
+// then the checkpoint bytes a trainer would write: parameters followed
+// by BatchNorm running statistics. The CRC covers the conv forward and
+// all three gradients, and the checkpoint's ranks and shapes.
+template <typename Model>
+std::uint32_t trained_checkpoint_crc(Model& model, const Tensor& input, std::uint64_t seed) {
+  SGD opt(model.params(), 0.1f);
+  opt.zero_grad();
+  const Tensor out = model.forward(input, true);
+  model.backward(random_tensor(out.shape(), seed));
+  opt.step();
+  std::ostringstream os;
+  save_params(os, model.params());
+  save_tensors(os, model.buffers());
+  const std::string bytes = os.str();
+  return common::crc32(bytes.data(), bytes.size());
+}
+
+TEST(Conv2DPinnedBits, TrainedCheckpointsMatchPinnedChecksums) {
+  {
+    models::TSNConfig cfg;
+    cfg.frames = 8;
+    models::TSN model(cfg);
+    const std::uint32_t crc =
+        trained_checkpoint_crc(model, random_tensor({2, 1, 8, 16, 24}, 41), 42);
+    EXPECT_EQ(crc, expected_crc({0x829bb7beu, 0xe6567112u, 0x3da9b954u, 0x3041b869u}))
+        << std::hex << "tsn crc 0x" << crc;
+  }
+  {
+    models::ResNetLite model;
+    const std::uint32_t crc =
+        trained_checkpoint_crc(model, random_tensor({3, 1, 16, 24}, 43), 44);
+    EXPECT_EQ(crc, expected_crc({0x8071ac81u, 0x3659b181u, 0xf04e19c8u, 0x3633adfbu}))
+        << std::hex << "resnet_lite crc 0x" << crc;
+  }
+  {
+    models::InceptionLite model;
+    const std::uint32_t crc =
+        trained_checkpoint_crc(model, random_tensor({2, 1, 16, 24}, 45), 46);
+    EXPECT_EQ(crc, expected_crc({0x63a1fb41u, 0x064f2daeu, 0x8bbe83e9u, 0x93887b6au}))
+        << std::hex << "inception_lite crc 0x" << crc;
+  }
+  {
+    models::YoloLiteConfig cfg;
+    cfg.in_height = 32;
+    cfg.in_width = 64;
+    models::YoloLite model(cfg);
+    const std::uint32_t crc =
+        trained_checkpoint_crc(model, random_tensor({2, 1, 32, 64}, 47), 48);
+    EXPECT_EQ(crc, expected_crc({0xa74e14b6u, 0x4db0d1f6u, 0xf38789feu, 0xd711969cu}))
+        << std::hex << "yolo_lite crc 0x" << crc;
+  }
 }
 
 // ---------- Softmax invariants over random logits ----------

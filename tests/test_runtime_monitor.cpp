@@ -64,7 +64,7 @@ SafeCross::Decision decide(SafeCross& sc, StreamContext& ctx, const ReadyWindow&
   const SafeCross::Decision d = w.gate == runtime::DecisionSource::Model
                                     ? sc.classify_as(w.model_weather, w.window)
                                     : SafeCross::fail_safe_decision(w.gate);
-  ctx.apply(w, d.predicted_class, d.prob_danger, d.warn, d.source, 0.0);
+  ctx.apply(w, d.predicted_class, d.prob_danger, d.warn, d.source);
   return d;
 }
 
