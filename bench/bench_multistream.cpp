@@ -47,7 +47,6 @@ struct RunResult {
   std::size_t model_decisions = 0;
   std::size_t batches = 0;
   double avg_batch = 0.0;
-  std::size_t engine_switches = 0;
   std::size_t shed = 0;
   double wall_ms = 0.0;
   int uncaught_exceptions = 0;
@@ -86,7 +85,6 @@ void absorb(RunResult& r, const StreamServer& server) {
   }
   r.decisions += server.total_decisions();
   r.batches += server.batch_log().size();
-  r.engine_switches += server.engine_switches();
   r.shed += server.windows_shed_total();
 }
 
@@ -178,22 +176,20 @@ bool arm_matches_oracle(const std::vector<std::unique_ptr<StreamServer>>& arm,
 }
 
 void print_result(const RunResult& r) {
-  std::printf("  %-10s %4zu %9zu %8zu %7zu %7zu %6.2f %5zu %5zu %9.1f %9.1f %4d\n",
+  std::printf("  %-10s %4zu %9zu %8zu %7zu %7zu %6.2f %5zu %9.1f %9.1f %4d\n",
               r.mode.c_str(), r.streams, r.frames_total, r.windows, r.decisions, r.batches,
-              r.avg_batch, r.engine_switches, r.shed, r.wall_ms, r.fps(),
-              r.uncaught_exceptions);
+              r.avg_batch, r.shed, r.wall_ms, r.fps(), r.uncaught_exceptions);
 }
 
 void json_result(std::FILE* f, const RunResult& r, bool last) {
   std::fprintf(f,
                "    {\"mode\": \"%s\", \"streams\": %zu, \"frames_total\": %zu, "
                "\"windows\": %zu, \"decisions\": %zu, \"model_decisions\": %zu, "
-               "\"batches\": %zu, \"avg_batch\": %.3f, \"engine_switches\": %zu, "
-               "\"windows_shed\": %zu, \"wall_ms\": %.2f, \"fps_aggregate\": %.2f, "
-               "\"uncaught_exceptions\": %d}%s\n",
+               "\"batches\": %zu, \"avg_batch\": %.3f, \"windows_shed\": %zu, "
+               "\"wall_ms\": %.2f, \"fps_aggregate\": %.2f, \"uncaught_exceptions\": %d}%s\n",
                r.mode.c_str(), r.streams, r.frames_total, r.windows, r.decisions,
-               r.model_decisions, r.batches, r.avg_batch, r.engine_switches, r.shed, r.wall_ms,
-               r.fps(), r.uncaught_exceptions, last ? "" : ",");
+               r.model_decisions, r.batches, r.avg_batch, r.shed, r.wall_ms, r.fps(),
+               r.uncaught_exceptions, last ? "" : ",");
 }
 
 }  // namespace
@@ -225,8 +221,8 @@ int main(int argc, char** argv) {
                 std::make_unique<models::SlowFast>(tiny_config().model));
   std::printf("  %zu frames per stream, median of %zu reps, shared daytime engine\n", frames,
               reps);
-  std::printf("  %-10s %4s %9s %8s %7s %7s %6s %5s %5s %9s %9s %4s\n", "mode", "K", "frames",
-              "windows", "decis", "batch", "avgB", "swch", "shed", "wall-ms", "fps", "exc");
+  std::printf("  %-10s %4s %9s %8s %7s %7s %6s %5s %9s %9s %4s\n", "mode", "K", "frames",
+              "windows", "decis", "batch", "avgB", "shed", "wall-ms", "fps", "exc");
 
   std::vector<RunResult> results;
   bool parity_ok = true;

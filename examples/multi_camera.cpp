@@ -85,7 +85,6 @@ int main() {
               server.batch_log().size(), full, server.windows_batched());
   std::printf("  producer crashes   %zu (restarted %zu times, verdicts unchanged)\n",
               server.crashes_injected(), server.stage_restarts());
-  std::printf("  engine switches    %zu\n", server.engine_switches());
   std::printf("\nThe batched verdicts are bit-identical to running each camera alone\n"
               "through the sequential path — see tests/test_stream_server.cpp.\n");
 

@@ -74,6 +74,9 @@ class StateReader {
   }
 
   void raw(void* out, std::size_t len) {
+    // An empty buffer may hand in a null `out`; memcpy's arguments must
+    // never be null, even for zero bytes.
+    if (len == 0) return;
     std::memcpy(out, checked(len), len);
     pos_ += len;
   }

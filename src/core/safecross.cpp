@@ -72,52 +72,6 @@ double SafeCross::on_scene_change(Weather weather) {
   return delay;
 }
 
-SafeCross::SceneChangeStatus SafeCross::try_on_scene_change(Weather weather) {
-  SceneChangeStatus status;
-  if (any_active_ && weather == active_ && has_model(weather)) {
-    status.ok = true;
-    status.active = active_;
-    return status;
-  }
-  if (has_model(weather)) {
-    const auto attempt = switcher_.try_switch_to(vision::weather_name(weather));
-    if (attempt.ok) {
-      active_ = weather;
-      any_active_ = true;
-      status.ok = true;
-      status.delay_ms = attempt.delay_ms;
-      status.active = active_;
-      return status;
-    }
-    status.error = attempt.error;
-  } else {
-    status.error = std::string("no model for ") + vision::weather_name(weather);
-  }
-
-  // Requested model unavailable: fall back to the basic daytime model so
-  // the intersection is guarded by *something* rather than nothing.
-  if (weather != Weather::Daytime && has_model(Weather::Daytime)) {
-    if (any_active_ && active_ == Weather::Daytime) {
-      status.ok = true;
-      status.fell_back = true;
-      status.active = active_;
-      return status;
-    }
-    const auto fallback = switcher_.try_switch_to(vision::weather_name(Weather::Daytime));
-    if (fallback.ok) {
-      active_ = Weather::Daytime;
-      any_active_ = true;
-      status.ok = true;
-      status.fell_back = true;
-      status.delay_ms = fallback.delay_ms;
-      status.active = active_;
-      return status;
-    }
-    status.error += "; daytime fallback failed: " + fallback.error;
-  }
-  return status;
-}
-
 SafeCross::Decision SafeCross::fail_safe_decision(runtime::DecisionSource reason) {
   Decision d;
   d.predicted_class = 0;  // assume danger

@@ -72,29 +72,15 @@ class SafeCross {
 
   /// MS module: the scene changed — switch the active model. Returns the
   /// simulated switching delay in ms (0 if already active). Throws on a
-  /// missing model or a failed switch (fatal-error contract; the live
-  /// path uses try_on_scene_change instead).
+  /// missing model or a failed switch. This is the offline discrete-event
+  /// account of a switch (paper Table VI and §V-D); the serving path
+  /// picks each window's model directly and realises switches through
+  /// its ModelCache instead (serving::StreamServer).
   double on_scene_change(Weather weather);
 
-  /// Outcome of a non-throwing scene change.
-  struct SceneChangeStatus {
-    bool ok = false;          // some model is serving after the call
-    bool fell_back = false;   // the basic daytime model substituted
-    double delay_ms = 0.0;
-    Weather active = Weather::Daytime;  // meaningful when ok
-    std::string error;        // why the requested model is not serving
-  };
-
-  /// Non-throwing scene change with graceful degradation: if the
-  /// requested weather's model is missing or its switch fails, fall back
-  /// to the basic daytime model (the paper's always-available VC module)
-  /// rather than leaving the intersection unguarded. ok=false only when
-  /// no model could be made to serve at all.
-  SceneChangeStatus try_on_scene_change(Weather weather);
-
   Weather active_weather() const { return active_; }
+  /// Read-only: only on_scene_change() moves the switcher.
   const switching::ModelSwitcher& switcher() const { return switcher_; }
-  switching::ModelSwitcher& switcher() { return switcher_; }
 
   struct Decision {
     int predicted_class = 0;   // 0 danger / 1 safe

@@ -40,7 +40,6 @@ serving::StreamServerConfig ShardHost::server_config(const ShardAssignment& a) c
   cfg.shed_on_overload = false;
   cfg.record_traces = serving_.record_traces;
   cfg.decide_delay_ms = a.decide_delay_ms;
-  cfg.prewarm = serving_.prewarm;
   if (!a.durability_dir.empty()) {
     cfg.durability.dir = a.durability_dir;
     cfg.durability.snapshot_every_decisions = serving_.snapshot_every_decisions;

@@ -59,9 +59,6 @@ struct ShardServingConfig {
   std::size_t snapshot_every_decisions = 16;
   std::size_t keep_snapshots = 2;
   double heartbeat_interval_ms = 4.0;
-  /// Weathers every incarnation pre-warms into its model cache at boot
-  /// (forwarded to StreamServerConfig::prewarm; non-Legacy modes only).
-  std::vector<dataset::Weather> prewarm;
 };
 
 /// One incarnation's worth of work: which streams, resuming from which

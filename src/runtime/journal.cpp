@@ -43,12 +43,6 @@ bool decode_body(common::StateReader& r, JournalRecord& out) {
     d.source = r.u8();
     d.latency_ms = r.f64();
     d.owner_epoch = r.u64();
-  } else if (type == static_cast<std::uint8_t>(JournalRecordType::ModelSwitch)) {
-    out.type = JournalRecordType::ModelSwitch;
-    SwitchEntry& s = out.model_switch;
-    s.weather = r.u8();
-    s.delay_ms = r.f64();
-    s.at_decision = r.u64();
   } else if (type == static_cast<std::uint8_t>(JournalRecordType::Recalibration)) {
     out.type = JournalRecordType::Recalibration;
     RecalibrationEntry& c = out.recalibration;
@@ -129,11 +123,6 @@ std::string Journal::encode(const JournalRecord& record) {
     payload.u8(d.source);
     payload.f64(d.latency_ms);
     payload.u64(d.owner_epoch);
-  } else if (record.type == JournalRecordType::ModelSwitch) {
-    const SwitchEntry& s = record.model_switch;
-    payload.u8(s.weather);
-    payload.f64(s.delay_ms);
-    payload.u64(s.at_decision);
   } else if (record.type == JournalRecordType::ModelSwitchBegin ||
              record.type == JournalRecordType::ModelSwitchCommit ||
              record.type == JournalRecordType::ModelSwitchAbort) {

@@ -2,7 +2,8 @@
 // Write-ahead decision journal: the durable record of everything the
 // stream server has told the intersection.
 //
-// An append-only log of emitted decisions and engine model-switch events.
+// An append-only log of emitted decisions, accepted recalibrations and
+// the serving-path switch protocol (ModelSwitch{Begin,Commit,Abort}).
 // Each record is framed [u32 payload_len][payload][u32 crc32(payload)]
 // behind a fixed file header, appended *before* the decision is applied
 // to any in-memory scorecard (write-ahead), and flushed according to the
@@ -52,7 +53,7 @@ struct JournalConfig {
 
 enum class JournalRecordType : std::uint8_t {
   Decision = 1,
-  ModelSwitch = 2,
+  // 2 is retired (journal v2's engine model-switch record): never reuse it.
   Recalibration = 3,
   // Serving-path switch protocol (DESIGN.md §14): a switch is write-ahead
   // as Begin, then exactly one terminal record — Commit when the pipelined
@@ -82,14 +83,6 @@ struct DecisionEntry {
   // the fleet mints epochs starting at 1. The post-run epoch audit walks
   // journals and rejects any decision recorded under a stale epoch.
   std::uint64_t owner_epoch = 0;
-};
-
-/// One actual engine model swap (audit trail for the switch-amortisation
-/// story; not consulted by recovery dedupe).
-struct SwitchEntry {
-  std::uint8_t weather = 0;  // Weather the engine switched to
-  double delay_ms = 0.0;
-  std::uint64_t at_decision = 0;  // decisions journaled before the swap
 };
 
 /// One accepted online recalibration: the image->grid homography the
@@ -123,7 +116,6 @@ struct SwitchPhaseEntry {
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::Decision;
   DecisionEntry decision;
-  SwitchEntry model_switch;
   RecalibrationEntry recalibration;
   SwitchPhaseEntry switch_phase;
 };
@@ -131,7 +123,8 @@ struct JournalRecord {
 class Journal {
  public:
   static constexpr std::uint32_t kMagic = 0x4C4A5853u;  // "SXJL"
-  static constexpr std::uint32_t kVersion = 2;  // v2: DecisionEntry.owner_epoch
+  // v2: DecisionEntry.owner_epoch; v3: no engine ModelSwitch record.
+  static constexpr std::uint32_t kVersion = 3;
   static constexpr std::size_t kHeaderBytes = 8;
   static constexpr std::size_t kMaxRecordBytes = 1u << 20;
 

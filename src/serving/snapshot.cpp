@@ -146,6 +146,19 @@ std::uint64_t SnapshotStore::write(const std::string& payload,
 }
 
 SnapshotStore::Loaded SnapshotStore::load_newest_valid(const std::filesystem::path& dir) {
+  // A writer may prune every generation one walk listed before the walk
+  // reads them. A prune only ever follows a newer publish, so a fresh
+  // listing finds that one: walk again (bounded) while files vanish.
+  constexpr int kMaxWalks = 8;
+  for (int walk = 1;; ++walk) {
+    bool vanished = false;
+    Loaded out = walk_newest_valid(dir, vanished);
+    if (out.found || !vanished || walk == kMaxWalks) return out;
+  }
+}
+
+SnapshotStore::Loaded SnapshotStore::walk_newest_valid(const std::filesystem::path& dir,
+                                                       bool& vanished) {
   Loaded out;
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) return out;
@@ -160,6 +173,10 @@ SnapshotStore::Loaded SnapshotStore::load_newest_valid(const std::filesystem::pa
     try {
       bytes = common::read_file(path);
     } catch (const std::exception& e) {
+      if (!std::filesystem::exists(path, ec)) {
+        vanished = true;  // pruned since it was listed
+        continue;
+      }
       out.rejected.push_back(name + ": unreadable");
       continue;
     }

@@ -35,8 +35,9 @@ namespace safecross::serving {
 class SnapshotStore {
  public:
   static constexpr std::uint32_t kMagic = 0x4E535853u;  // "SXSN"
-  // v2: detached flags in the payload; v3: no scorecard latency list.
-  static constexpr std::uint32_t kVersion = 3;
+  // v2: detached flags in the payload; v3: no scorecard latency list;
+  // v4: no engine active weather or engine switch count.
+  static constexpr std::uint32_t kVersion = 4;
 
   /// Opens (and creates) `dir`; scans existing generations so the next
   /// write() continues the sequence instead of reusing a burned number.
@@ -70,6 +71,10 @@ class SnapshotStore {
                                                std::uint64_t generation);
 
  private:
+  /// One newest-first pass over the listed generations; sets `vanished`
+  /// when a listed generation was gone by the time it was read.
+  static Loaded walk_newest_valid(const std::filesystem::path& dir, bool& vanished);
+
   std::filesystem::path dir_;
   std::size_t keep_;
   std::uint64_t next_gen_ = 1;

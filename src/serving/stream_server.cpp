@@ -86,23 +86,13 @@ std::size_t StreamServer::total_decisions() const {
   return total;
 }
 
-std::optional<Weather> StreamServer::serve_weather(Weather weather) {
-  const auto status = engine_.try_on_scene_change(weather);
-  if (!status.ok) return std::nullopt;
-  // delay_ms > 0 means the switcher actually moved a model; 0 means the
-  // request hit the already-resident one.
-  if (status.delay_ms > 0.0) {
-    ++engine_switches_;
-    if (journal_.is_open()) {
-      runtime::JournalRecord rec;
-      rec.type = runtime::JournalRecordType::ModelSwitch;
-      rec.model_switch.weather = static_cast<std::uint8_t>(status.active);
-      rec.model_switch.delay_ms = status.delay_ms;
-      rec.model_switch.at_decision = journal_.records_appended();
-      journal_.append(rec);
-    }
-  }
-  return status.active;
+std::optional<Weather> StreamServer::serve_weather(Weather weather) const {
+  // The window's own weather model when the engine has one, else the basic
+  // daytime model (the paper's always-available VC module) rather than
+  // leaving the intersection unguarded; none at all gates fail-safe.
+  if (engine_.has_model(weather)) return weather;
+  if (engine_.has_model(Weather::Daytime)) return Weather::Daytime;
+  return std::nullopt;
 }
 
 // --- durability helpers ---
@@ -168,8 +158,6 @@ std::uint64_t StreamServer::config_fingerprint() const {
 std::string StreamServer::snapshot_payload() const {
   common::StateWriter w;
   w.u64(config_fingerprint());
-  w.u8(static_cast<std::uint8_t>(engine_.active_weather()));
-  w.u64(engine_switches_);
   w.u64(windows_batched_);
   w.u64(streams_.size());
   for (char d : down_) w.boolean(d != 0);
@@ -188,8 +176,6 @@ void StreamServer::load_snapshot_payload(const std::string& payload) {
         "StreamServer::recover: snapshot was taken under a different stream "
         "configuration (fingerprint mismatch)");
   }
-  const Weather active = static_cast<Weather>(r.u8());
-  engine_switches_ = static_cast<std::size_t>(r.u64());
   windows_batched_ = static_cast<std::size_t>(r.u64());
   const std::uint64_t k = r.u64();
   if (k != streams_.size()) {
@@ -198,11 +184,6 @@ void StreamServer::load_snapshot_payload(const std::string& payload) {
   for (std::size_t i = 0; i < streams_.size(); ++i) down_[i] = r.boolean() ? 1 : 0;
   for (std::size_t i = 0; i < streams_.size(); ++i) detached_[i] = r.boolean() ? 1 : 0;
   for (auto& ctx : streams_) ctx->load_state(r);
-  // Re-arm the weather model that was serving when the snapshot was cut.
-  // The audit counter was restored above; this switch is re-setup, not a
-  // new event, so it must not re-count (and must not be journaled — the
-  // journal is not open yet during recover()).
-  engine_.try_on_scene_change(active);
 }
 
 void StreamServer::prepare_durability() {
@@ -257,9 +238,9 @@ bool StreamServer::apply_replayed(const ReadyWindow& w) {
   }
   streams_[w.stream]->apply(w, e.predicted_class, e.prob_danger, e.warn,
                             static_cast<DecisionSource>(e.source));
+  note_applied(e.latency_ms);  // before the erase: `e` lives in the map node
   pend.erase(it);
   ++decisions_since_snapshot_;
-  note_applied(e.latency_ms);
   return true;
 }
 
@@ -592,7 +573,6 @@ void StreamServer::setup_model_cache() {
     }
     cache_->register_model(scene, *profile, std::move(groups));
   }
-  last_served_scene_ = scene_name(engine_.active_weather());
   // Boot prewarm (config.prewarm, typically ModelStore::warm_manifest):
   // fill the cold cache before the first window so it never pays the
   // servability holdback. Fill-only — never evicts, stops at the first

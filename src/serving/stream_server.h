@@ -27,9 +27,9 @@
 // deadline check disabled (the default), run() and run_sequential() over
 // identically configured streams produce bit-identical per-stream
 // verdict traces and scorecards. Batching changes only how the GEMM
-// backend is fed and how often the engine swaps models — never a
-// verdict. Producer crashes within the supervisor's retry budget replay
-// the crashed frame and also change nothing.
+// backend is fed — never a verdict. Producer crashes within the
+// supervisor's retry budget replay the crashed frame and also change
+// nothing.
 //
 // Fault isolation: a producer that exhausts its retry budget runs a
 // degraded fallback that marks the stream down and latches its health
@@ -66,9 +66,10 @@ namespace safecross::serving {
 
 /// How the batched server realizes model switches (DESIGN.md §14).
 ///
-/// Legacy      — the engine's discrete-event switcher models the delay;
-///               no warm cache, no real data movement (every pre-existing
-///               behaviour, golden trace and parity assertion unchanged).
+/// Legacy      — no switch cost is modelled: every model is always
+///               servable, there is no warm cache and no data movement.
+///               (The engine's discrete-event ModelSwitcher is the offline
+///               Table VI model only; the server never drives it.)
 /// StopAndStart— a single-resident ModelCache; every batch whose weather
 ///               is not resident stalls the deciding thread for a real
 ///               sequential weight load (the paper's ablation arm).
@@ -79,7 +80,9 @@ namespace safecross::serving {
 ///
 /// All three modes produce bit-identical verdicts: residency is a latency
 /// model, never verdict-bearing — a verdict depends only on the window
-/// bytes and the target weather's weights.
+/// bytes and the serving weather's weights. Which weights serve is a pure
+/// choice (serve_weather): the window's own weather model when the engine
+/// has one, else the daytime model, else none (fail-safe).
 enum class SwitchMode : std::uint8_t { Legacy = 0, StopAndStart = 1, Pipelined = 2 };
 
 const char* switch_mode_name(SwitchMode m);
@@ -175,9 +178,9 @@ struct StreamServerConfig {
   std::uint64_t supervisor_seed = 0x5EB7E55u;
   bool record_traces = false;          // keep per-seq verdict traces
   DurabilityConfig durability;         // checkpoint/journal layer (off by default)
-  /// Serving-path switch realization; Legacy preserves every pre-existing
-  /// behaviour bit-for-bit. Batched run() only — run_sequential() is the
-  /// switch-free-equivalent oracle and always runs the Legacy path.
+  /// Serving-path switch realization. Batched run() only —
+  /// run_sequential() is the switch-free-equivalent oracle and always
+  /// runs the Legacy path.
   SwitchMode switch_mode = SwitchMode::Legacy;
   /// Warm-cache geometry for StopAndStart/Pipelined (capacity is forced
   /// to 1 under StopAndStart — single residency IS the ablation).
@@ -204,9 +207,11 @@ struct BatchRecord {
 
 class StreamServer {
  public:
-  /// The engine must already hold a model for every weather the streams
-  /// (and their switch schedules) will request; a missing model degrades
-  /// through SafeCross::try_on_scene_change's daytime fallback.
+  /// The engine should hold a model for every weather the streams (and
+  /// their switch schedules) will request; a window whose weather has no
+  /// model is judged by the daytime model, and by no model at all
+  /// (FailSafeSwitchInFlight) when the daytime model is missing too. The
+  /// server only reads the engine: it never drives its ModelSwitcher.
   StreamServer(core::SafeCross& engine, StreamServerConfig config);
 
   StreamServer(const StreamServer&) = delete;
@@ -310,9 +315,6 @@ class StreamServer {
   // --- batched-mode scorecard ---
   const std::vector<BatchRecord>& batch_log() const { return batch_log_; }
   std::size_t windows_batched() const { return windows_batched_; }
-  /// Actual engine model swaps performed (delay > 0) — batching amortises
-  /// these versus the sequential reference.
-  std::size_t engine_switches() const { return engine_switches_; }
   std::size_t stage_restarts() const { return stage_restarts_; }
   std::size_t streams_gave_up() const { return streams_gave_up_; }
   std::size_t crashes_injected() const {
@@ -358,10 +360,10 @@ class StreamServer {
   }
   /// One batched forward pass + scatter; appends to the batch log.
   void decide_batch(Batch& batch);
-  /// Make `weather`'s model serve (engine switch accounting lives here);
-  /// returns the weather actually serving, or nullopt when the engine is
-  /// fully down. Shared by both modes so they cannot drift.
-  std::optional<Weather> serve_weather(Weather weather);
+  /// The weather whose model judges a `weather` window: its own model,
+  /// else the daytime fallback, else nullopt (the engine has neither).
+  /// Shared by both modes so they cannot drift.
+  std::optional<Weather> serve_weather(Weather weather) const;
 
   std::size_t effective_max_batch() const {
     return config_.batcher.max_batch == 0 ? streams_.size() : config_.batcher.max_batch;
@@ -466,7 +468,6 @@ class StreamServer {
   std::vector<std::size_t> high_water_;
   std::vector<BatchRecord> batch_log_;
   std::size_t windows_batched_ = 0;
-  std::size_t engine_switches_ = 0;
   std::size_t stage_restarts_ = 0;
   std::size_t streams_gave_up_ = 0;
   std::atomic<std::size_t> crashes_injected_{0};

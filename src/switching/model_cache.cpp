@@ -171,10 +171,4 @@ ExecutorResult ModelCache::load_blocking(const std::string& scene, bool pipeline
   return result;
 }
 
-bool ModelCache::evict(const std::string& scene) {
-  if (!resident(scene)) return false;
-  release_resident(scene);
-  return true;
-}
-
 }  // namespace safecross::switching

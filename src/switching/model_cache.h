@@ -63,8 +63,6 @@ class ModelCache {
   bool registered(const std::string& scene) const { return entries_.count(scene) > 0; }
   bool resident(const std::string& scene) const;
   std::size_t resident_count() const { return lru_.size(); }
-  /// Residents in LRU order (front = next eviction candidate).
-  const std::vector<std::string>& residents_lru() const { return lru_; }
 
   /// Mark a resident scene most-recently-used (each served batch does).
   void touch(const std::string& scene);
@@ -100,13 +98,7 @@ class ModelCache {
                                const EvictHook& on_evict = {},
                                const GroupHook& on_group = {});
 
-  /// Release a resident scene. Returns false when not resident.
-  bool evict(const std::string& scene);
-
-  const std::optional<std::string>& prepared() const { return prepared_; }
   const ModelCacheStats& stats() const { return stats_; }
-  const GpuMemoryPool* pool() const { return pool_.get(); }
-  const ModelCacheConfig& config() const { return config_; }
 
  private:
   struct Entry {

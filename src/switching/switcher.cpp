@@ -63,40 +63,20 @@ void ModelSwitcher::place_in_pool(const std::string& scene, std::size_t bytes) {
     }
     for (const std::string& name : evict) pool_->release(name);
     if (!pool_->allocate(scene, bytes)) {
-      throw std::runtime_error("model '" + scene + "' does not fit the GPU memory pool");
+      throw std::runtime_error("ModelSwitcher: model '" + scene +
+                               "' does not fit the GPU memory pool");
     }
   }
 }
 
 double ModelSwitcher::switch_to(const std::string& scene) {
-  if (entries_.find(scene) == entries_.end()) {
-    throw std::invalid_argument("ModelSwitcher: unregistered scene '" + scene + "'");
-  }
-  const SwitchStatus status = try_switch_to(scene);
-  if (!status.ok) throw std::runtime_error("ModelSwitcher: " + status.error);
-  return status.delay_ms;
-}
-
-SwitchStatus ModelSwitcher::try_switch_to(const std::string& scene) {
-  SwitchStatus status;
   const auto it = entries_.find(scene);
   if (it == entries_.end()) {
-    ++failed_switches_;
-    status.error = "unregistered scene '" + scene + "'";
-    return status;
+    throw std::invalid_argument("ModelSwitcher: unregistered scene '" + scene + "'");
   }
-  if (scene == active_) {
-    status.ok = true;
-    return status;
-  }
+  if (scene == active_) return 0.0;
   ensure_pool();
-  try {
-    place_in_pool(scene, it->second.profile.total_bytes());
-  } catch (const std::exception& e) {
-    ++failed_switches_;
-    status.error = e.what();
-    return status;
-  }
+  place_in_pool(scene, it->second.profile.total_bytes());
 
   SwitchResult result;
   if (policy_ == SwitchPolicy::PipeSwitch) {
@@ -110,9 +90,7 @@ SwitchStatus ModelSwitcher::try_switch_to(const std::string& scene) {
   last_ = result;
   ++switch_count_;
   total_delay_ms_ += result.switching_delay_ms();
-  status.ok = true;
-  status.delay_ms = result.switching_delay_ms();
-  return status;
+  return result.switching_delay_ms();
 }
 
 }  // namespace safecross::switching

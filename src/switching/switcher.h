@@ -23,14 +23,6 @@ enum class SwitchPolicy { StopAndStart, PipeSwitch };
 
 const char* policy_name(SwitchPolicy p);
 
-/// Outcome of a non-throwing switch attempt. On failure the previously
-/// active model keeps serving and `error` carries the reason.
-struct SwitchStatus {
-  bool ok = false;
-  double delay_ms = 0.0;
-  std::string error;
-};
-
 class ModelSwitcher {
  public:
   explicit ModelSwitcher(GpuModelConfig gpu = {}, SwitchPolicy policy = SwitchPolicy::PipeSwitch);
@@ -57,17 +49,9 @@ class ModelSwitcher {
 
   /// Switch to the scene's model; returns the switching delay in ms
   /// (0 when the scene is already active). Throws std::invalid_argument
-  /// if unregistered and std::runtime_error on any other failure.
+  /// if unregistered and std::runtime_error when the model cannot fit the
+  /// pool; the active model is unchanged on either failure.
   double switch_to(const std::string& scene);
-
-  /// Non-throwing variant: returns ok=false (with the reason) for an
-  /// unregistered scene or a model that cannot fit the pool. The active
-  /// model is unchanged on failure, so a degraded deployment keeps
-  /// serving with the previous weights.
-  SwitchStatus try_switch_to(const std::string& scene);
-
-  /// Switch attempts that failed (unregistered scene or pool exhaustion).
-  std::size_t failed_switches() const { return failed_switches_; }
 
   /// Full result (timeline included) of the last non-trivial switch.
   const std::optional<SwitchResult>& last_switch() const { return last_; }
@@ -97,7 +81,6 @@ class ModelSwitcher {
   std::string active_;
   std::optional<SwitchResult> last_;
   std::size_t switch_count_ = 0;
-  std::size_t failed_switches_ = 0;
   double total_delay_ms_ = 0.0;
 };
 

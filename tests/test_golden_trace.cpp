@@ -344,8 +344,10 @@ TEST(GoldenTrace, ServerKillRecoverMatchesSnapshot) {
   cfg.durability.dir = dir;
   cfg.durability.snapshot_every_decisions = 8;
 
+  // The 8th append is decision 8 (seq 7 of the day stream): recovery
+  // replays 7 journaled decisions and drops a torn tail.
   runtime::CrashInjector injector;
-  injector.arm(runtime::CrashPoint::MidJournalAppend, 9);
+  injector.arm(runtime::CrashPoint::MidJournalAppend, 8);
   cfg.durability.crash = &injector;
   bool crashed = false;
   {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state_io.h"
+
 namespace safecross::vision {
 namespace {
 
@@ -100,6 +102,24 @@ TEST(Image, AsciiRenderHasExpectedRows) {
     if (c == '\n') ++rows;
   }
   EXPECT_EQ(rows, 8);
+}
+
+TEST(ImageState, EmptyImageRoundTrips) {
+  // An empty image has no pixel buffer at all: save writes zero bytes and
+  // load must restore it without touching a null destination.
+  // Loaded into a default-constructed image (no buffer either) and into
+  // one that held pixels before.
+  const Image empty;
+  common::StateWriter w;
+  empty.save_state(w);
+  for (Image restored : {Image(), Image(3, 2, 1.0f)}) {
+    common::StateReader r(w.bytes());
+    restored.load_state(r);
+    EXPECT_TRUE(r.at_end());
+    EXPECT_TRUE(restored.empty());
+    EXPECT_EQ(restored.width(), 0);
+    EXPECT_EQ(restored.height(), 0);
+  }
 }
 
 }  // namespace

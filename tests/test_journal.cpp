@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/checksum.h"
+#include "common/state_io.h"
 
 namespace safecross::runtime {
 namespace {
@@ -44,12 +45,30 @@ JournalRecord decision_record(std::uint32_t stream, std::uint64_t seq) {
   return rec;
 }
 
-JournalRecord switch_record(std::uint8_t weather, std::uint64_t at) {
+JournalRecord switch_phase_record(JournalRecordType type, std::uint64_t id,
+                                  std::uint8_t weather, std::uint64_t at) {
   JournalRecord rec;
-  rec.type = JournalRecordType::ModelSwitch;
-  rec.model_switch.weather = weather;
-  rec.model_switch.delay_ms = 120.0;
-  rec.model_switch.at_decision = at;
+  rec.type = type;
+  rec.switch_phase.switch_id = id;
+  rec.switch_phase.weather = weather;
+  rec.switch_phase.mode = 2;
+  rec.switch_phase.reason = type == JournalRecordType::ModelSwitchAbort ? 2 : 0;
+  rec.switch_phase.wall_ms = type == JournalRecordType::ModelSwitchCommit ? 3.25 : 0.0;
+  rec.switch_phase.at_decision = at;
+  return rec;
+}
+
+JournalRecord recalibration_record(std::uint32_t stream, std::uint64_t frame) {
+  JournalRecord rec;
+  rec.type = JournalRecordType::Recalibration;
+  rec.recalibration.stream = stream;
+  rec.recalibration.frame = frame;
+  for (std::size_t m = 0; m < rec.recalibration.image_to_grid.size(); ++m) {
+    rec.recalibration.image_to_grid[m] = 0.5 * static_cast<double>(m) - 1.0;
+  }
+  rec.recalibration.residual_rms = 0.75;
+  rec.recalibration.drift_px = 2.5;
+  rec.recalibration.attempts = 3;
   return rec;
 }
 
@@ -65,11 +84,36 @@ void expect_records_equal(const JournalRecord& got, const JournalRecord& want) {
     EXPECT_EQ(got.decision.warn, want.decision.warn);
     EXPECT_EQ(got.decision.source, want.decision.source);
     EXPECT_EQ(got.decision.latency_ms, want.decision.latency_ms);
+  } else if (want.type == JournalRecordType::Recalibration) {
+    EXPECT_EQ(got.recalibration.stream, want.recalibration.stream);
+    EXPECT_EQ(got.recalibration.frame, want.recalibration.frame);
+    EXPECT_EQ(got.recalibration.image_to_grid, want.recalibration.image_to_grid);
+    EXPECT_EQ(got.recalibration.residual_rms, want.recalibration.residual_rms);
+    EXPECT_EQ(got.recalibration.drift_px, want.recalibration.drift_px);
+    EXPECT_EQ(got.recalibration.attempts, want.recalibration.attempts);
   } else {
-    EXPECT_EQ(got.model_switch.weather, want.model_switch.weather);
-    EXPECT_EQ(got.model_switch.delay_ms, want.model_switch.delay_ms);
-    EXPECT_EQ(got.model_switch.at_decision, want.model_switch.at_decision);
+    EXPECT_EQ(got.switch_phase.switch_id, want.switch_phase.switch_id);
+    EXPECT_EQ(got.switch_phase.weather, want.switch_phase.weather);
+    EXPECT_EQ(got.switch_phase.mode, want.switch_phase.mode);
+    EXPECT_EQ(got.switch_phase.reason, want.switch_phase.reason);
+    EXPECT_EQ(got.switch_phase.wall_ms, want.switch_phase.wall_ms);
+    EXPECT_EQ(got.switch_phase.at_decision, want.switch_phase.at_decision);
   }
+}
+
+/// A CRC-clean frame carrying journal v2's engine model-switch record
+/// (type byte 2: weather, delay_ms, at_decision), which v3 retired.
+std::string retired_model_switch_frame() {
+  common::StateWriter payload;
+  payload.u8(2);
+  payload.u8(1);
+  payload.f64(120.0);
+  payload.u64(8);
+  common::StateWriter frame;
+  frame.u32(static_cast<std::uint32_t>(payload.bytes().size()));
+  frame.raw(payload.bytes().data(), payload.bytes().size());
+  frame.u32(common::crc32(payload.bytes()));
+  return frame.take();
 }
 
 TEST(Crc32, MatchesKnownVector) {
@@ -91,7 +135,16 @@ TEST(Journal, RoundTripsMixedRecords) {
       want.push_back(decision_record(i % 2, i));
       journal.append(want.back());
     }
-    want.push_back(switch_record(/*weather=*/1, /*at=*/8));
+    want.push_back(switch_phase_record(JournalRecordType::ModelSwitchBegin, /*id=*/1,
+                                       /*weather=*/1, /*at=*/8));
+    journal.append(want.back());
+    want.push_back(recalibration_record(/*stream=*/1, /*frame=*/240));
+    journal.append(want.back());
+    want.push_back(switch_phase_record(JournalRecordType::ModelSwitchCommit, /*id=*/1,
+                                       /*weather=*/1, /*at=*/10));
+    journal.append(want.back());
+    want.push_back(switch_phase_record(JournalRecordType::ModelSwitchAbort, /*id=*/2,
+                                       /*weather=*/3, /*at=*/11));
     journal.append(want.back());
     EXPECT_EQ(journal.records_appended(), want.size());
     journal.close();
@@ -138,6 +191,29 @@ TEST(Journal, ReplayRejectsForeignHeader) {
   EXPECT_FALSE(report.missing);
   EXPECT_TRUE(report.bad_header);
   EXPECT_TRUE(report.records.empty());
+}
+
+TEST(Journal, RetiredModelSwitchTypeDoesNotDecode) {
+  // Type byte 2 stays unassigned: a CRC-clean frame carrying it ends the
+  // valid prefix like any corrupt frame.
+  TempDir tmp;
+  const fs::path path = tmp.path / "retired.wal";
+  {
+    Journal journal;
+    journal.open(path, JournalConfig{});
+    journal.append(decision_record(0, 0));
+  }
+  std::FILE* f = std::fopen(path.string().c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const std::string tail = retired_model_switch_frame() + Journal::encode(decision_record(0, 1));
+  ASSERT_EQ(std::fwrite(tail.data(), 1, tail.size(), f), tail.size());
+  std::fclose(f);
+  const auto report = Journal::replay(path);
+  EXPECT_FALSE(report.bad_header);
+  EXPECT_TRUE(report.torn_tail);
+  EXPECT_EQ(report.tail_error, "record body does not decode");
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.records[0].decision.seq, 0u);
 }
 
 TEST(Journal, AppendContinuesAcrossReopen) {

@@ -16,6 +16,7 @@
 
 #include "serving/stream_server.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -27,6 +28,7 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "common/state_io.h"
 #include "models/slowfast.h"
 
 namespace safecross::serving {
@@ -77,7 +79,7 @@ struct ScratchDir {
   }
 };
 
-/// Two streams (daytime + rain, so model switches hit the journal too).
+/// Two streams (daytime + rain, so both weathers' models serve).
 /// An empty dir gives the uninterrupted reference configuration.
 StreamServerConfig chaos_config(std::uint64_t base, const fs::path& dir,
                                 CrashInjector* crash) {
@@ -708,6 +710,64 @@ TEST(KillRecover, RecoverOnFreshDirIsAFreshStart) {
   auto recovered = recover_and_finish(*sc, cfg, Mode::Sequential, &report);
   EXPECT_TRUE(report.journal_missing);
   EXPECT_FALSE(report.recovered_from_snapshot);
+  EXPECT_EQ(report.journal_pending, 0u);
+  expect_servers_agree(*recovered, reference);
+}
+
+/// Write `bytes` to `path` verbatim (a file left by an older build).
+void write_file(const fs::path& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.string().c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// A dir left by the previous on-disk formats — a v2 journal holding an
+// engine model-switch record and a v3 snapshot that still carries the
+// engine's active weather — is reported as bad magic/version, trusted for
+// nothing, and the run restarts from genesis bit-identically.
+TEST(KillRecover, PreviousFormatJournalAndSnapshotAreRejectedWithAReport) {
+  auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
+  constexpr std::uint64_t kBase = 85000;
+  StreamServer reference(*sc, chaos_config(kBase, {}, nullptr));
+  reference.run_sequential();
+
+  ScratchDir scratch("previous_format");
+  StreamServerConfig cfg = chaos_config(kBase, scratch.path, nullptr);
+  {
+    common::StateWriter record;  // v2 ModelSwitch: type 2, weather, delay, at
+    record.u8(2);
+    record.u8(static_cast<std::uint8_t>(Weather::Rain));
+    record.f64(120.0);
+    record.u64(0);
+    common::StateWriter journal;
+    journal.u32(runtime::Journal::kMagic);
+    journal.u32(runtime::Journal::kVersion - 1);
+    journal.u32(static_cast<std::uint32_t>(record.bytes().size()));
+    journal.raw(record.bytes().data(), record.bytes().size());
+    journal.u32(common::crc32(record.bytes()));
+    write_file(scratch.path / "journal.wal", journal.bytes());
+  }
+  const fs::path old_snapshot = SnapshotStore::generation_path(scratch.path, 1);
+  {
+    common::StateWriter frame;
+    frame.u32(SnapshotStore::kMagic);
+    frame.u32(SnapshotStore::kVersion - 1);
+    frame.u64(1);
+    frame.str(std::string(32, '\0'));
+    frame.u32(common::crc32(frame.bytes()));
+    write_file(old_snapshot, frame.bytes());
+  }
+
+  RecoveryReport report;
+  auto recovered = recover_and_finish(*sc, cfg, Mode::Sequential, &report);
+  EXPECT_TRUE(report.journal_bad_header);
+  EXPECT_EQ(report.journal_tail_error, "bad journal magic/version");
+  EXPECT_EQ(report.journal_records, 0u);
+  EXPECT_FALSE(report.recovered_from_snapshot);
+  ASSERT_EQ(report.snapshots_rejected.size(), 1u);
+  EXPECT_EQ(report.snapshots_rejected[0],
+            old_snapshot.filename().string() + ": bad magic/version");
   EXPECT_EQ(report.journal_pending, 0u);
   expect_servers_agree(*recovered, reference);
 }

@@ -97,20 +97,46 @@ TEST(Monitor, DecisionStrideRateLimits) {
   }
 }
 
-TEST(Monitor, ServingActivatesTheStreamWeatherModel) {
+TEST(Monitor, ServingJudgesTheStreamWithItsWeatherModel) {
   SafeCrossConfig cfg;
   cfg.model.slow_channels = 4;
   cfg.model.fast_channels = 2;
-  SafeCross sc(cfg);
-  sc.set_model(dataset::Weather::Daytime, std::make_unique<models::SlowFast>(cfg.model));
-  sc.set_model(dataset::Weather::Rain, std::make_unique<models::SlowFast>(cfg.model));
-  sc.on_scene_change(dataset::Weather::Daytime);
+  const auto engine = [&cfg](std::uint64_t day_seed, std::uint64_t rain_seed) {
+    auto sc = std::make_unique<SafeCross>(cfg);
+    models::SlowFastConfig mc = cfg.model;
+    if (day_seed != 0) {
+      mc.init_seed = day_seed;
+      sc->set_model(dataset::Weather::Daytime, std::make_unique<models::SlowFast>(mc));
+    }
+    mc.init_seed = rain_seed;
+    sc->set_model(dataset::Weather::Rain, std::make_unique<models::SlowFast>(mc));
+    return sc;
+  };
+  const auto both = engine(/*day_seed=*/11, /*rain_seed=*/12);
+  const auto rain_only = engine(/*day_seed=*/0, /*rain_seed=*/12);
+  const auto rain_as_day = engine(/*day_seed=*/0, /*rain_seed=*/11);
 
   StreamConfig stream = daytime_stream(39, 40);
   stream.weather = dataset::Weather::Rain;
-  const auto server = serve(sc, stream, 30 * 120);
-  ASSERT_GT(server->stream(0).scorecard().model_decisions(), 0u);
-  EXPECT_EQ(sc.active_weather(), dataset::Weather::Rain);
+  const auto served = serve(*both, stream, 30 * 120);
+  const auto own = serve(*rain_only, stream, 30 * 120);
+  const auto other = serve(*rain_as_day, stream, 30 * 120);
+  ASSERT_GT(served->stream(0).scorecard().model_decisions(), 0u);
+  // With the daytime model present, the rain stream is still judged by
+  // the rain weights: its trace is the rain-only engine's, bit for bit,
+  // and differs from the one the daytime weights give.
+  const auto& got = served->stream(0).trace();
+  const auto& want = own->stream(0).trace();
+  const auto& wrong = other->stream(0).trace();
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), wrong.size());
+  bool differs = false;
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].prob_danger, want[s].prob_danger) << "seq " << s;
+    EXPECT_EQ(got[s].source, want[s].source) << "seq " << s;
+    differs |= got[s].prob_danger != wrong[s].prob_danger;
+  }
+  EXPECT_TRUE(differs) << "the two weight sets agree everywhere — weak scenario";
 }
 
 }  // namespace

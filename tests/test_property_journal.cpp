@@ -35,11 +35,28 @@ struct TempDir {
 
 JournalRecord random_record(Rng& rng) {
   JournalRecord rec;
-  if (rng.uniform() < 0.15) {
-    rec.type = JournalRecordType::ModelSwitch;
-    rec.model_switch.weather = static_cast<std::uint8_t>(rng.uniform_int(5));
-    rec.model_switch.delay_ms = rng.uniform(0.0, 500.0);
-    rec.model_switch.at_decision = rng.next_u64() % 10000;
+  const double kind = rng.uniform();
+  if (kind < 0.15) {
+    constexpr JournalRecordType kPhases[] = {JournalRecordType::ModelSwitchBegin,
+                                             JournalRecordType::ModelSwitchCommit,
+                                             JournalRecordType::ModelSwitchAbort};
+    rec.type = kPhases[rng.uniform_int(3)];
+    rec.switch_phase.switch_id = rng.next_u64() % 1000;
+    rec.switch_phase.weather = static_cast<std::uint8_t>(rng.uniform_int(5));
+    rec.switch_phase.mode = static_cast<std::uint8_t>(rng.uniform_int(3));
+    rec.switch_phase.reason = static_cast<std::uint8_t>(rng.uniform_int(3));
+    rec.switch_phase.wall_ms = rng.uniform(0.0, 500.0);
+    rec.switch_phase.at_decision = rng.next_u64() % 10000;
+    return rec;
+  }
+  if (kind < 0.25) {
+    rec.type = JournalRecordType::Recalibration;
+    rec.recalibration.stream = static_cast<std::uint32_t>(rng.uniform_int(8));
+    rec.recalibration.frame = rng.next_u64() % 100000;
+    for (double& v : rec.recalibration.image_to_grid) v = rng.uniform(-2.0, 2.0);
+    rec.recalibration.residual_rms = rng.uniform(0.0, 1.0);
+    rec.recalibration.drift_px = rng.uniform(0.0, 8.0);
+    rec.recalibration.attempts = static_cast<std::uint32_t>(rng.uniform_int(4));
     return rec;
   }
   rec.type = JournalRecordType::Decision;
@@ -66,9 +83,20 @@ bool records_equal(const JournalRecord& a, const JournalRecord& b) {
            a.decision.warn == b.decision.warn && a.decision.source == b.decision.source &&
            a.decision.latency_ms == b.decision.latency_ms;
   }
-  return a.model_switch.weather == b.model_switch.weather &&
-         a.model_switch.delay_ms == b.model_switch.delay_ms &&
-         a.model_switch.at_decision == b.model_switch.at_decision;
+  if (a.type == JournalRecordType::Recalibration) {
+    return a.recalibration.stream == b.recalibration.stream &&
+           a.recalibration.frame == b.recalibration.frame &&
+           a.recalibration.image_to_grid == b.recalibration.image_to_grid &&
+           a.recalibration.residual_rms == b.recalibration.residual_rms &&
+           a.recalibration.drift_px == b.recalibration.drift_px &&
+           a.recalibration.attempts == b.recalibration.attempts;
+  }
+  return a.switch_phase.switch_id == b.switch_phase.switch_id &&
+         a.switch_phase.weather == b.switch_phase.weather &&
+         a.switch_phase.mode == b.switch_phase.mode &&
+         a.switch_phase.reason == b.switch_phase.reason &&
+         a.switch_phase.wall_ms == b.switch_phase.wall_ms &&
+         a.switch_phase.at_decision == b.switch_phase.at_decision;
 }
 
 /// The invariant every damaged replay must satisfy: the result is a

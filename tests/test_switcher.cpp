@@ -67,22 +67,17 @@ TEST(Switcher, ReRegisterReplacesProfile) {
   SUCCEED();
 }
 
-TEST(Switcher, TrySwitchToUnregisteredReportsInsteadOfThrowing) {
-  ModelSwitcher sw;
-  const SwitchStatus status = sw.try_switch_to("nope");
-  EXPECT_FALSE(status.ok);
-  EXPECT_FALSE(status.error.empty());
-  EXPECT_EQ(sw.failed_switches(), 1u);
-}
-
-TEST(Switcher, TrySwitchToSucceedsLikeSwitchTo) {
+TEST(Switcher, SwitchToUnregisteredThrowsAndKeepsTheActiveModel) {
   ModelSwitcher sw;
   sw.register_model("day", slowfast_r50_profile());
-  const SwitchStatus status = sw.try_switch_to("day");
-  EXPECT_TRUE(status.ok);
-  EXPECT_GT(status.delay_ms, 0.0);
+  sw.register_model("rain", slowfast_r50_profile());
+  sw.switch_to("day");
+  EXPECT_THROW(sw.switch_to("nope"), std::invalid_argument);
   EXPECT_EQ(sw.active_scene(), "day");
-  EXPECT_EQ(sw.failed_switches(), 0u);
+  EXPECT_EQ(sw.switch_count(), 1u);
+  // The failed attempt leaves the switcher usable.
+  EXPECT_GT(sw.switch_to("rain"), 0.0);
+  EXPECT_EQ(sw.active_scene(), "rain");
 }
 
 TEST(Switcher, PolicyNames) {
