@@ -49,12 +49,41 @@ void BM_BackgroundSubtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_BackgroundSubtraction)->Unit(benchmark::kMillisecond);
 
+// The packed path the collector serves: update, threshold and pack in one
+// pass into the subtractor's own BitMask, then opening on the bits. The
+// float-adapter bench above adds the widening to an Image.
+void BM_BackgroundSubtractionBits(benchmark::State& state) {
+  vision::RunningAverageBackground bg;
+  bg.apply_bits(frames().prev);
+  for (int i = 0; i < 12; ++i) bg.apply_bits(frames().prev);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bg.apply_bits(frames().cur).row(0));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BackgroundSubtractionBits)->Unit(benchmark::kMicrosecond);
+
+// Float adapter: pack the Image, open the bits, widen back.
 void BM_MorphologyOpening(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(vision::opening(frames().mask));
   }
 }
 BENCHMARK(BM_MorphologyOpening)->Unit(benchmark::kMillisecond);
+
+// Opening on an already-packed mask, reusing its scratch rows.
+void BM_MorphologyOpeningBits(benchmark::State& state) {
+  const vision::BitMask packed = vision::BitMask::from_image(frames().mask);
+  vision::BitMask mask;
+  vision::BitMask scratch;
+  for (auto _ : state) {
+    mask = packed;
+    vision::opening(mask, scratch);
+    benchmark::DoNotOptimize(mask.row(0));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MorphologyOpeningBits)->Unit(benchmark::kMicrosecond);
 
 void BM_FindBlobs(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "dataset/collector.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace safecross::dataset {
 
@@ -18,13 +19,13 @@ SegmentCollector::SegmentCollector(sim::TrafficSimulator& sim, const sim::Camera
 Image SegmentCollector::preprocess_frame() {
   if (config_.mode == PipelineMode::FullVP) {
     // Fig. 3 pipeline: camera frame -> dynamic-background subtraction with
-    // opening morphology -> top-down warp -> binarize. A geometric fault
-    // perturbs the rendered view; the (possibly recalibrated) remap is
-    // whatever image_to_grid_ currently holds.
+    // opening morphology -> top-down warp -> binarize. The foreground mask
+    // stays bit-packed from bg-sub through the warp's samples. A geometric
+    // fault perturbs the rendered view; the (possibly recalibrated) remap
+    // is whatever image_to_grid_ currently holds.
     const Image frame = camera_.render(sim_, rng_, view_perturbation_);
-    const Image mask = bg_.apply(frame);
-    const Image warped = image_to_grid_.warp(mask, config_.grid_w, config_.grid_h);
-    return warped.threshold(0.5f);
+    const vision::BitMask& mask = bg_.apply_bits(frame);
+    return image_to_grid_.warp(mask, config_.grid_w, config_.grid_h).threshold(0.5f);
   }
 
   // FastTopdown: ideal VP output + weather-noise emulation. Under a view
@@ -192,18 +193,34 @@ void SegmentCollector::save_state(common::StateWriter& w) const {
 void SegmentCollector::load_state(common::StateReader& r) {
   rng_.load_state(r);
   bg_.load_state(r);
+  const Image& background = bg_.background();
+  if (!background.empty() && (background.width() != camera_.config().width ||
+                              background.height() != camera_.config().height)) {
+    throw common::StateError("collector: background size differs from the camera's");
+  }
 
+  // The window and its two flag deques move in lockstep (step() pushes
+  // and pops all three together), never exceed one segment, and hold
+  // grid-sized frames; a state that breaks any of that is not ours.
   const std::uint64_t n_frames = r.u64();
+  if (n_frames > static_cast<std::uint64_t>(config_.frames_per_segment)) {
+    throw common::StateError("collector: window longer than frames_per_segment");
+  }
   window_.clear();
   for (std::uint64_t i = 0; i < n_frames; ++i) {
-    vision::Image frame;
+    Image frame;
     frame.load_state(r);
+    if (frame.width() != config_.grid_w || frame.height() != config_.grid_h) {
+      throw common::StateError("collector: window frame is not grid_w x grid_h");
+    }
     window_.push_back(std::move(frame));
   }
   const std::uint64_t n_blind = r.u64();
+  if (n_blind != n_frames) throw common::StateError("collector: blind flags differ from window");
   blind_window_.clear();
   for (std::uint64_t i = 0; i < n_blind; ++i) blind_window_.push_back(r.boolean());
   const std::uint64_t n_fresh = r.u64();
+  if (n_fresh != n_frames) throw common::StateError("collector: fresh flags differ from window");
   fresh_window_.clear();
   for (std::uint64_t i = 0; i < n_fresh; ++i) fresh_window_.push_back(r.boolean());
 
@@ -215,7 +232,11 @@ void SegmentCollector::load_state(common::StateReader& r) {
   hold_frames_ = r.i32();
   hold_subject_id_ = r.u64();
   std::array<double, 9> m{};
-  for (double& v : m) v = r.f64();
+  for (double& v : m) {
+    v = r.f64();
+    // A non-finite remap would send the FullVP warp to NaN coordinates.
+    if (!std::isfinite(v)) throw common::StateError("collector: non-finite image->grid remap");
+  }
   image_to_grid_ = vision::Homography(m);
 }
 

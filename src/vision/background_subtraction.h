@@ -9,9 +9,14 @@
 //  * StaticBackground — ablation baseline: background frozen after a
 //    warm-up period (bench_ablation_bgsub contrasts the two).
 //
-// apply() optionally runs morphological opening (erosion then dilation)
-// to suppress single-pixel sensor noise, exactly as described in §III-B.
+// apply_bits() is one pass over the frame: the background update (dynamic
+// model), |F - B| > threshold, and packing into a BitMask the subtractor
+// owns and reuses. It then optionally runs morphological opening (erosion
+// then dilation) on the bits to suppress single-pixel sensor noise,
+// exactly as described in §III-B. The background itself stays float.
+// apply() is the float adapter: the same mask widened to a {0, 1} Image.
 
+#include "vision/bitmask.h"
 #include "vision/image.h"
 
 namespace safecross::vision {
@@ -27,9 +32,14 @@ class BackgroundSubtractor {
  public:
   virtual ~BackgroundSubtractor() = default;
 
-  /// Feed one frame; returns the binary foreground mask (all zeros during
-  /// warm-up).
-  virtual Image apply(const Image& frame) = 0;
+  /// Feed one frame; returns the binary foreground mask (all clear during
+  /// warm-up). The mask is owned by the subtractor and overwritten by the
+  /// next call. Throws std::invalid_argument, before touching any state,
+  /// when the frame's size differs from the learned background's.
+  virtual const BitMask& apply_bits(const Image& frame) = 0;
+
+  /// apply_bits widened to a {0, 1} Image.
+  Image apply(const Image& frame) { return apply_bits(frame).to_image(); }
 
   /// Current background estimate (empty before the first frame).
   virtual const Image& background() const = 0;
@@ -41,7 +51,7 @@ class RunningAverageBackground final : public BackgroundSubtractor {
  public:
   explicit RunningAverageBackground(BackgroundSubtractionConfig config = {});
 
-  Image apply(const Image& frame) override;
+  const BitMask& apply_bits(const Image& frame) override;
   const Image& background() const override { return background_; }
   void reset() override;
 
@@ -61,6 +71,8 @@ class RunningAverageBackground final : public BackgroundSubtractor {
   BackgroundSubtractionConfig config_;
   Image background_;
   int frames_seen_ = 0;
+  BitMask mask_;
+  BitMask scratch_;  // opening's working rows
 };
 
 /// Background frozen after `warmup_frames` averaged frames.
@@ -68,7 +80,7 @@ class StaticBackground final : public BackgroundSubtractor {
  public:
   explicit StaticBackground(BackgroundSubtractionConfig config = {});
 
-  Image apply(const Image& frame) override;
+  const BitMask& apply_bits(const Image& frame) override;
   const Image& background() const override { return background_; }
   void reset() override;
 
@@ -76,6 +88,8 @@ class StaticBackground final : public BackgroundSubtractor {
   BackgroundSubtractionConfig config_;
   Image background_;
   int frames_seen_ = 0;
+  BitMask mask_;
+  BitMask scratch_;  // opening's working rows
 };
 
 }  // namespace safecross::vision

@@ -224,17 +224,30 @@ Homography operator*(const Homography& a, const Homography& b) {
   return Homography(m);
 }
 
-Image Homography::warp(const Image& src, int dst_width, int dst_height) const {
-  const Homography inv = inverse();
+namespace {
+
+template <typename Source>
+Image warp_from(const Homography& inv, const Source& src, int dst_width, int dst_height) {
   Image out(dst_width, dst_height, 0.0f);
   for (int y = 0; y < dst_height; ++y) {
     for (int x = 0; x < dst_width; ++x) {
       const Point2 s = inv.apply({static_cast<double>(x), static_cast<double>(y)});
-      if (s.x < 0 || s.y < 0 || s.x > src.width() - 1 || s.y > src.height() - 1) continue;
+      // Written so a NaN coordinate (a non-finite matrix) is skipped too.
+      if (!(s.x >= 0 && s.y >= 0 && s.x <= src.width() - 1 && s.y <= src.height() - 1)) continue;
       out.at(x, y) = src.sample_bilinear(static_cast<float>(s.x), static_cast<float>(s.y));
     }
   }
   return out;
+}
+
+}  // namespace
+
+Image Homography::warp(const Image& src, int dst_width, int dst_height) const {
+  return warp_from(inverse(), src, dst_width, dst_height);
+}
+
+Image Homography::warp(const BitMask& src, int dst_width, int dst_height) const {
+  return warp_from(inverse(), src, dst_width, dst_height);
 }
 
 }  // namespace safecross::vision

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "vision/bitmask.h"
 #include "vision/image.h"
 
 namespace safecross::vision {
@@ -66,6 +67,10 @@ class Homography {
   /// pixel, apply the *inverse* mapping and bilinearly sample the source.
   /// `this` must map src coordinates to dst coordinates.
   Image warp(const Image& src, int dst_width, int dst_height) const;
+
+  /// The same warp sampling a packed mask's bits directly: the result is
+  /// bit-identical to warp(src.to_image(), ...).
+  Image warp(const BitMask& src, int dst_width, int dst_height) const;
 
  private:
   std::array<double, 9> h_;

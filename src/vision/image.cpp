@@ -17,17 +17,7 @@ float Image::at_clamped(int x, int y, float outside) const {
 }
 
 float Image::sample_bilinear(float x, float y) const {
-  x = std::clamp(x, 0.0f, static_cast<float>(width_ - 1));
-  y = std::clamp(y, 0.0f, static_cast<float>(height_ - 1));
-  const int x0 = static_cast<int>(x);
-  const int y0 = static_cast<int>(y);
-  const int x1 = std::min(x0 + 1, width_ - 1);
-  const int y1 = std::min(y0 + 1, height_ - 1);
-  const float fx = x - static_cast<float>(x0);
-  const float fy = y - static_cast<float>(y0);
-  const float top = at(x0, y0) * (1 - fx) + at(x1, y0) * fx;
-  const float bot = at(x0, y1) * (1 - fx) + at(x1, y1) * fx;
-  return top * (1 - fy) + bot * fy;
+  return sample_bilinear_at(width_, height_, x, y, [this](int px, int py) { return at(px, py); });
 }
 
 void Image::fill(float v) { std::fill(data_.begin(), data_.end(), v); }

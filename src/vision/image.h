@@ -5,6 +5,7 @@
 //
 // Pixel values are conventionally in [0, 1]; binary masks use {0, 1}.
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -12,6 +13,25 @@
 #include "common/state_io.h"
 
 namespace safecross::vision {
+
+/// Bilinear sample of a width x height grid at fractional (x, y), clamped
+/// to the border; `at(x, y)` reads one pixel as a float. Image and BitMask
+/// both sample through this one expression, so a packed mask samples to
+/// exactly the floats its widened Image does.
+template <typename At>
+float sample_bilinear_at(int width, int height, float x, float y, const At& at) {
+  x = std::clamp(x, 0.0f, static_cast<float>(width - 1));
+  y = std::clamp(y, 0.0f, static_cast<float>(height - 1));
+  const int x0 = static_cast<int>(x);
+  const int y0 = static_cast<int>(y);
+  const int x1 = std::min(x0 + 1, width - 1);
+  const int y1 = std::min(y0 + 1, height - 1);
+  const float fx = x - static_cast<float>(x0);
+  const float fy = y - static_cast<float>(y0);
+  const float top = at(x0, y0) * (1 - fx) + at(x1, y0) * fx;
+  const float bot = at(x0, y1) * (1 - fx) + at(x1, y1) * fx;
+  return top * (1 - fy) + bot * fy;
+}
 
 class Image {
  public:

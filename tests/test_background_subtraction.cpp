@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
+#include "morphology_reference.h"
+#include "sim/camera.h"
+#include "sim/traffic.h"
+
 namespace safecross::vision {
 namespace {
 
@@ -95,6 +102,91 @@ TEST(BackgroundSubtraction, DynamicBackgroundTracksIlluminationDrift) {
     false_positives += bg.apply(Image(16, 16, level)).count_above(0.5f);
   }
   EXPECT_EQ(false_positives, 0u);
+}
+
+// A frame whose size differs from the learned background must be refused
+// before the update loop reads past either buffer.
+TEST(BackgroundSubtraction, RunningAverageRejectsFrameOfAnotherSize) {
+  RunningAverageBackground bg;
+  for (int i = 0; i < 3; ++i) bg.apply_bits(Image(64, 64, 0.2f));
+  EXPECT_THROW(bg.apply_bits(Image(8, 8, 0.9f)), std::invalid_argument);
+  EXPECT_THROW(bg.apply(Image(64, 8, 0.9f)), std::invalid_argument);
+  EXPECT_EQ(bg.frames_seen(), 3);
+  EXPECT_FLOAT_EQ(bg.background().at(63, 63), 0.2f);
+}
+
+TEST(BackgroundSubtraction, StaticBackgroundRejectsFrameOfAnotherSize) {
+  BackgroundSubtractionConfig cfg;
+  cfg.warmup_frames = 2;
+  StaticBackground bg(cfg);
+  bg.apply_bits(Image(64, 64, 0.2f));
+  EXPECT_THROW(bg.apply_bits(Image(8, 8, 0.9f)), std::invalid_argument);  // in warm-up
+  for (int i = 0; i < 3; ++i) bg.apply_bits(Image(64, 64, 0.2f));
+  EXPECT_THROW(bg.apply_bits(Image(8, 8, 0.9f)), std::invalid_argument);  // frozen
+}
+
+TEST(BackgroundSubtraction, RestoredBackgroundOfAnotherSizeIsRefused) {
+  RunningAverageBackground learned;
+  for (int i = 0; i < 3; ++i) learned.apply_bits(Image(64, 64, 0.2f));
+  common::StateWriter w;
+  learned.save_state(w);
+  RunningAverageBackground restored;
+  common::StateReader r(w.bytes());
+  restored.load_state(r);
+  EXPECT_THROW(restored.apply_bits(Image(8, 8, 0.9f)), std::invalid_argument);
+  EXPECT_EQ(restored.apply_bits(Image(64, 64, 0.2f)).width(), 64);
+}
+
+// The fused pass (update, |F - B| > threshold, pack, opening on bits)
+// against the float chain it replaced, on rendered camera frames: the
+// masks and the learned background must match bit for bit.
+TEST(BackgroundSubtraction, PackedMaskMatchesFloatChainOnCameraFrames) {
+  // Seeds with traffic in view (fog hides most of its light traffic).
+  const std::pair<Weather, std::uint64_t> runs[] = {{Weather::Daytime, 28}, {Weather::Rain, 19},
+                                                    {Weather::Snow, 13},    {Weather::Night, 7},
+                                                    {Weather::Fog, 27}};
+  for (const auto& [weather, seed] : runs) {
+    sim::TrafficSimulator sim(sim::weather_params(weather), seed);
+    const sim::CameraModel cam(sim.intersection().geometry());
+    for (int i = 0; i < 600; ++i) sim.step();
+    Rng rng(5);
+    const BackgroundSubtractionConfig cfg;
+    RunningAverageBackground bg(cfg);
+    StaticBackground frozen(cfg);
+    Image ref_bg;
+    std::size_t foreground = 0;
+    for (int f = 0; f < 40; ++f) {
+      sim.step();
+      const Image frame = cam.render(sim, rng);
+      if (f == 0) {
+        ref_bg = frame;
+      } else {
+        const float a = cfg.learning_rate;
+        for (std::size_t i = 0; i < ref_bg.size(); ++i) {
+          ref_bg.data()[i] = (1.0f - a) * ref_bg.data()[i] + a * frame.data()[i];
+        }
+      }
+      const BitMask& got = bg.apply_bits(frame);
+      ASSERT_EQ(std::memcmp(bg.background().data(), ref_bg.data(), ref_bg.size() * sizeof(float)),
+                0)
+          << "background, frame " << f;
+      Image want(frame.width(), frame.height(), 0.0f);
+      if (f >= cfg.warmup_frames) {
+        want = testing::reference_opening(Image::absdiff(frame, ref_bg).threshold(cfg.threshold));
+      }
+      ASSERT_TRUE(got == BitMask::from_image(want)) << "mask, frame " << f;
+      foreground += got.count();
+
+      // The frozen background stops changing after warm-up.
+      const BitMask& frozen_got = frozen.apply_bits(frame);
+      if (f >= cfg.warmup_frames) {
+        const Image frozen_want = testing::reference_opening(
+            Image::absdiff(frame, frozen.background()).threshold(cfg.threshold));
+        ASSERT_TRUE(frozen_got == BitMask::from_image(frozen_want)) << "static, frame " << f;
+      }
+    }
+    EXPECT_GT(foreground, 0u) << static_cast<int>(weather);
+  }
 }
 
 }  // namespace

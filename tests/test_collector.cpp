@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "dataset/builder.h"
 
 namespace safecross::dataset {
@@ -138,6 +142,89 @@ TEST(Collector, DropInsideCorruptedBurstBreaksContiguity) {
   }
   collector.step();  // 32nd filled slot since the gap
   EXPECT_TRUE(collector.window_contiguous());
+}
+
+// A collector state laid out as save_state writes it, with the window,
+// its flag deques, the window frames' size and the background chosen by
+// the test; the rest is a fresh collector's.
+std::string collector_state(std::size_t frames, std::size_t blind, std::size_t fresh,
+                            int frame_w = 36, int frame_h = 24,
+                            const vision::Image& background = {}) {
+  common::StateWriter w;
+  Rng(1).save_state(w);
+  background.save_state(w);  // RunningAverageBackground: background + age
+  w.i32(background.empty() ? 0 : 20);
+  w.u64(frames);
+  for (std::size_t i = 0; i < frames; ++i) vision::Image(frame_w, frame_h).save_state(w);
+  w.u64(blind);
+  for (std::size_t i = 0; i < blind; ++i) w.boolean(false);
+  w.u64(fresh);
+  for (std::size_t i = 0; i < fresh; ++i) w.boolean(true);
+  for (int i = 0; i < 5; ++i) w.u64(0);  // frame and fault counters
+  w.i32(0);
+  w.u64(0);
+  for (const double v : {1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0}) w.f64(v);  // identity remap
+  return w.take();
+}
+
+void restore(SegmentCollector& collector, const std::string& bytes) {
+  common::StateReader r(bytes);
+  collector.load_state(r);
+}
+
+// 40 window frames with no flags restored cleanly once, and the next
+// step() popped an empty deque.
+TEST(Collector, RestoreRefusesWindowWithoutItsFlags) {
+  sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), 25);
+  sim::CameraModel cam(sim.intersection().geometry());
+  SegmentCollector collector(sim, cam, {}, 26);
+  EXPECT_THROW(restore(collector, collector_state(40, 0, 0)), common::StateError);
+  EXPECT_THROW(restore(collector, collector_state(8, 0, 0)), common::StateError);
+  EXPECT_THROW(restore(collector, collector_state(8, 8, 7)), common::StateError);
+  EXPECT_THROW(restore(collector, collector_state(33, 33, 33)), common::StateError);
+  EXPECT_THROW(restore(collector, collector_state(8, 8, 8, 35, 24)), common::StateError);
+  EXPECT_THROW(restore(collector, collector_state(8, 8, 8, 36, 23)), common::StateError);
+
+  restore(collector, collector_state(32, 32, 32));
+  for (int i = 0; i < 40; ++i) collector.step();
+  EXPECT_EQ(collector.window().size(), 32u);
+}
+
+// A CRC-valid state whose remap held NaN restored cleanly, and the next
+// FullVP step() sampled the mask at NaN coordinates and crashed.
+TEST(Collector, RestoreRefusesNonFiniteRemap) {
+  sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), 29);
+  sim::CameraModel cam(sim.intersection().geometry());
+  CollectorConfig cfg;
+  cfg.mode = PipelineMode::FullVP;
+  SegmentCollector collector(sim, cam, cfg, 30);
+  for (int i = 0; i < 12; ++i) collector.step();
+  common::StateWriter w;
+  collector.save_state(w);
+  const std::string good = w.take();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::string bytes = good;
+    std::memcpy(&bytes[bytes.size() - sizeof bad], &bad, sizeof bad);  // the remap's h33
+    EXPECT_THROW(restore(collector, bytes), common::StateError);
+  }
+  restore(collector, good);
+  collector.step();
+  EXPECT_EQ(collector.frames_processed(), 13u);
+}
+
+TEST(Collector, RestoreRefusesBackgroundOfAnotherSize) {
+  sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), 27);
+  sim::CameraModel cam(sim.intersection().geometry());
+  CollectorConfig cfg;
+  cfg.mode = PipelineMode::FullVP;
+  SegmentCollector collector(sim, cam, cfg, 28);
+  EXPECT_THROW(restore(collector, collector_state(0, 0, 0, 36, 24, vision::Image(8, 8, 0.3f))),
+               common::StateError);
+  const sim::CameraConfig& cc = cam.config();
+  restore(collector, collector_state(0, 0, 0, 36, 24, vision::Image(cc.width, cc.height, 0.3f)));
+  collector.step();
+  EXPECT_EQ(collector.window().size(), 1u);
 }
 
 TEST(Builder, ReachesTargetOrTimeCap) {

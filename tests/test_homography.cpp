@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace safecross::vision {
 namespace {
 
@@ -96,6 +98,15 @@ TEST(Homography, WarpLeavesUnmappedPixelsZero) {
   const Homography shift({1, 0, 100, 0, 1, 100, 0, 0, 1});
   const Image out = shift.warp(Image(8, 8, 1.0f), 8, 8);
   EXPECT_EQ(out.count_above(0.5f), 0u);
+}
+
+// A non-finite matrix maps every pixel to NaN, which must count as outside
+// the source rather than reach the bilinear sampler's integer casts.
+TEST(Homography, NonFiniteMatrixWarpsToBackground) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Homography broken({1, 0, nan, 0, 1, 0, 0, 0, 1});
+  EXPECT_EQ(broken.warp(Image(8, 8, 1.0f), 8, 8).count_above(0.5f), 0u);
+  EXPECT_EQ(broken.warp(BitMask::from_image(Image(8, 8, 1.0f)), 8, 8).count_above(0.5f), 0u);
 }
 
 }  // namespace
