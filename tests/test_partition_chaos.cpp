@@ -295,11 +295,19 @@ TEST(PartitionChaos, HardThresholdFalseDeclaresTheSamePartitionReconciledNotFail
 /// The gray drill scaffolding: K streams over two placeable shards plus
 /// one idle reserve; the busiest placed shard gets a per-batch inference
 /// delay that dwarfs healthy latency (slow-but-alive, never dead).
+///
+/// The watermark only moves when a verdict lands, so the breach is seen
+/// after the second slow batch at the earliest, and the drain executes at
+/// the drain point after the batch in flight when it arrives. The wave
+/// must outlast that: with 1800 frames the slow shard's whole backlog
+/// fits in two batches once producers keep ahead of the 150 ms delay, and
+/// the drain races the end of the run instead of landing mid-wave.
 struct GrayDrill {
   FleetConfig cfg;
   std::size_t slow_shard = 0;
 
-  explicit GrayDrill(std::uint64_t base) : cfg(fleet_config(4, 3, base)) {
+  explicit GrayDrill(std::uint64_t base)
+      : cfg(fleet_config(4, 3, base, /*frames=*/5400)) {
     cfg.reserve_shards = 1;  // shard 2 idles as the drain target
     Placer placer(cfg.placement);
     const auto assignment = placer.place_all(cfg.streams, cfg.shards - 1);
