@@ -109,19 +109,17 @@ class Rng {
     have_cached_ = st.have_cached;
   }
 
-  void save_state(common::StateWriter& w) const {
-    for (int i = 0; i < 4; ++i) w.u64(state_[i]);
-    w.f64(cached_);
-    w.boolean(have_cached_);
-  }
-
-  void load_state(common::StateReader& r) {
-    for (int i = 0; i < 4; ++i) state_[i] = r.u64();
-    cached_ = r.f64();
-    have_cached_ = r.boolean();
-  }
+  void save_state(common::StateWriter& w) const { persist(*this, w); }
+  void load_state(common::StateReader& r) { persist(*this, r); }
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a) {
+    for (auto& word : self.state_) a.u64(word);
+    a.f64(self.cached_);
+    a.boolean(self.have_cached_);
+  }
+
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
   std::uint64_t state_[4] = {};

@@ -91,26 +91,19 @@ void StreamScorecard::score(bool danger_truth, int predicted_class, bool warn,
   }
 }
 
-void StreamScorecard::save_state(common::StateWriter& w) const {
-  w.u64(decisions_);
-  w.u64(warnings_);
-  w.u64(correct_);
-  w.u64(missed_threats_);
-  w.u64(false_warnings_);
-  w.u64(fail_safe_decisions_);
-  w.u64(decision_opportunities_);
-  for (std::size_t n : by_source_) w.u64(n);
+template <class Self, class A>
+void StreamScorecard::persist(Self& self, A& a) {
+  a.u64(self.decisions_);
+  a.u64(self.warnings_);
+  a.u64(self.correct_);
+  a.u64(self.missed_threats_);
+  a.u64(self.false_warnings_);
+  a.u64(self.fail_safe_decisions_);
+  a.u64(self.decision_opportunities_);
+  for (auto& n : self.by_source_) a.u64(n);
 }
 
-void StreamScorecard::load_state(common::StateReader& r) {
-  decisions_ = static_cast<std::size_t>(r.u64());
-  warnings_ = static_cast<std::size_t>(r.u64());
-  correct_ = static_cast<std::size_t>(r.u64());
-  missed_threats_ = static_cast<std::size_t>(r.u64());
-  false_warnings_ = static_cast<std::size_t>(r.u64());
-  fail_safe_decisions_ = static_cast<std::size_t>(r.u64());
-  decision_opportunities_ = static_cast<std::size_t>(r.u64());
-  for (std::size_t& n : by_source_) n = static_cast<std::size_t>(r.u64());
-}
+void StreamScorecard::save_state(common::StateWriter& w) const { persist(*this, w); }
+void StreamScorecard::load_state(common::StateReader& r) { persist(*this, r); }
 
 }  // namespace safecross::core

@@ -85,6 +85,9 @@ class StreamScorecard {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   std::size_t decisions_ = 0;
   std::size_t warnings_ = 0;
   std::size_t correct_ = 0;

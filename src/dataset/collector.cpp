@@ -166,78 +166,61 @@ std::vector<VideoSegment> SegmentCollector::take_segments() {
   return out;
 }
 
-void SegmentCollector::save_state(common::StateWriter& w) const {
-  rng_.save_state(w);
-  bg_.save_state(w);
-
-  w.u64(window_.size());
-  for (const vision::Image& frame : window_) frame.save_state(w);
-  w.u64(blind_window_.size());
-  for (bool b : blind_window_) w.boolean(b);
-  w.u64(fresh_window_.size());
-  for (bool b : fresh_window_) w.boolean(b);
-
-  w.u64(frames_processed_);
-  w.u64(frames_since_gap_);
-  w.u64(frames_dropped_);
-  w.u64(frames_frozen_);
-  w.u64(frames_corrupted_);
-  w.i32(hold_frames_);
-  w.u64(hold_subject_id_);
+template <class Self, class A>
+void SegmentCollector::persist(Self& self, A& a) {
+  a.nested(self.rng_);
+  a.nested(self.bg_);
+  a.seq(self.window_, [](auto& a, auto& frame) { a.nested(frame); });
+  a.seq(self.blind_window_, [](auto& a, auto& b) { a.boolean(b); });
+  a.seq(self.fresh_window_, [](auto& a, auto& b) { a.boolean(b); });
+  a.u64(self.frames_processed_);
+  a.u64(self.frames_since_gap_);
+  a.u64(self.frames_dropped_);
+  a.u64(self.frames_frozen_);
+  a.u64(self.frames_corrupted_);
+  a.i32(self.hold_frames_);
+  a.u64(self.hold_subject_id_);
   // The applied remap: under online recalibration this diverges from the
   // construction-time ideal, and a restored collector must keep warping
   // through the same matrix the killed one had swapped in.
-  for (double v : image_to_grid_.matrix()) w.f64(v);
+  a.nested(self.image_to_grid_);
 }
 
+void SegmentCollector::save_state(common::StateWriter& w) const { persist(*this, w); }
+
 void SegmentCollector::load_state(common::StateReader& r) {
-  rng_.load_state(r);
-  bg_.load_state(r);
+  persist(*this, r);
   const Image& background = bg_.background();
   if (!background.empty() && (background.width() != camera_.config().width ||
                               background.height() != camera_.config().height)) {
     throw common::StateError("collector: background size differs from the camera's");
   }
-
   // The window and its two flag deques move in lockstep (step() pushes
   // and pops all three together), never exceed one segment, and hold
   // grid-sized frames; a state that breaks any of that is not ours.
-  const std::uint64_t n_frames = r.u64();
-  if (n_frames > static_cast<std::uint64_t>(config_.frames_per_segment)) {
+  if (window_.size() > static_cast<std::size_t>(config_.frames_per_segment)) {
     throw common::StateError("collector: window longer than frames_per_segment");
   }
-  window_.clear();
-  for (std::uint64_t i = 0; i < n_frames; ++i) {
-    Image frame;
-    frame.load_state(r);
+  for (const Image& frame : window_) {
     if (frame.width() != config_.grid_w || frame.height() != config_.grid_h) {
       throw common::StateError("collector: window frame is not grid_w x grid_h");
     }
-    window_.push_back(std::move(frame));
   }
-  const std::uint64_t n_blind = r.u64();
-  if (n_blind != n_frames) throw common::StateError("collector: blind flags differ from window");
-  blind_window_.clear();
-  for (std::uint64_t i = 0; i < n_blind; ++i) blind_window_.push_back(r.boolean());
-  const std::uint64_t n_fresh = r.u64();
-  if (n_fresh != n_frames) throw common::StateError("collector: fresh flags differ from window");
-  fresh_window_.clear();
-  for (std::uint64_t i = 0; i < n_fresh; ++i) fresh_window_.push_back(r.boolean());
-
-  frames_processed_ = static_cast<std::size_t>(r.u64());
-  frames_since_gap_ = static_cast<std::size_t>(r.u64());
-  frames_dropped_ = static_cast<std::size_t>(r.u64());
-  frames_frozen_ = static_cast<std::size_t>(r.u64());
-  frames_corrupted_ = static_cast<std::size_t>(r.u64());
-  hold_frames_ = r.i32();
-  hold_subject_id_ = r.u64();
-  std::array<double, 9> m{};
-  for (double& v : m) {
-    v = r.f64();
+  if (blind_window_.size() != window_.size()) {
+    throw common::StateError("collector: blind flags differ from window");
+  }
+  if (fresh_window_.size() != window_.size()) {
+    throw common::StateError("collector: fresh flags differ from window");
+  }
+  // step() cuts a no-turn segment and restarts the count when a hold
+  // reaches one segment.
+  if (hold_frames_ < 0 || hold_frames_ >= config_.frames_per_segment) {
+    throw common::StateError("collector: hold count outside one segment");
+  }
+  for (double v : image_to_grid_.matrix()) {
     // A non-finite remap would send the FullVP warp to NaN coordinates.
     if (!std::isfinite(v)) throw common::StateError("collector: non-finite image->grid remap");
   }
-  image_to_grid_ = vision::Homography(m);
 }
 
 }  // namespace safecross::dataset

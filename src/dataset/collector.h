@@ -147,6 +147,9 @@ class SegmentCollector {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   vision::Image preprocess_frame();
   void emit(bool turned);
 

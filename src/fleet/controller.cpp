@@ -72,6 +72,22 @@ void FleetController::record_grants(const ShardAssignment& a) {
   grants_[a.durability_dir] = std::move(granted);
 }
 
+FleetController::Launched FleetController::make_launched(std::size_t shard,
+                                                         ShardAssignment a) const {
+  Launched l;
+  l.shard = shard;
+  l.assignment = std::move(a);
+  l.monitor = std::make_unique<runtime::HealthMonitor>(cfg_.shard_health);
+  if (cfg_.detector == DetectorKind::Suspicion) {
+    l.suspicion = std::make_unique<runtime::SuspicionDetector>(cfg_.suspicion);
+  }
+  if (cfg_.dynamic_admission.enabled) {
+    l.dyn = std::make_unique<DynamicAdmission>(cfg_.dynamic_admission);
+    l.dyn_order = degrade_order(l.assignment.streams);
+  }
+  return l;
+}
+
 void FleetController::run() {
   if (ran_) throw std::logic_error("FleetController: a controller runs once");
   ran_ = true;
@@ -112,18 +128,7 @@ void FleetController::run() {
     }
     if (!cfg_.durability_root.empty()) a.durability_dir = wave_dir(s, 0);
     record_grants(a);
-    Launched l;
-    l.shard = s;
-    l.assignment = std::move(a);
-    l.monitor = std::make_unique<runtime::HealthMonitor>(cfg_.shard_health);
-    if (cfg_.detector == DetectorKind::Suspicion) {
-      l.suspicion = std::make_unique<runtime::SuspicionDetector>(cfg_.suspicion);
-    }
-    if (cfg_.dynamic_admission.enabled) {
-      l.dyn = std::make_unique<DynamicAdmission>(cfg_.dynamic_admission);
-      l.dyn_order = degrade_order(l.assignment.streams);
-    }
-    wave.push_back(std::move(l));
+    wave.push_back(make_launched(s, std::move(a)));
   }
   for (std::size_t slot = 0; slot < wave.size(); ++slot) {
     wave[slot].assignment.crash = fault_.injector_for(0, slot, wave.size());
@@ -251,18 +256,7 @@ void FleetController::handle_drain_complete(const FleetMsg& msg,
   ev.request_ms = ms_between(triggered, Clock::now());
   report_.drains.push_back(ev);
 
-  Launched nl;
-  nl.shard = target;
-  nl.assignment = std::move(a);
-  nl.monitor = std::make_unique<runtime::HealthMonitor>(cfg_.shard_health);
-  if (cfg_.detector == DetectorKind::Suspicion) {
-    nl.suspicion = std::make_unique<runtime::SuspicionDetector>(cfg_.suspicion);
-  }
-  if (cfg_.dynamic_admission.enabled) {
-    nl.dyn = std::make_unique<DynamicAdmission>(cfg_.dynamic_admission);
-    nl.dyn_order = degrade_order(nl.assignment.streams);
-  }
-  wave.push_back(std::move(nl));  // src pointer is dead past this line
+  wave.push_back(make_launched(target, std::move(a)));  // src pointer is dead past this line
   launch(wave.back());
 }
 
@@ -580,18 +574,7 @@ std::vector<FleetController::Launched> FleetController::fail_over(
     }
     if (!cfg_.durability_root.empty()) a.durability_dir = wave_dir(shard, wave_no + 1);
     record_grants(a);
-    Launched l;
-    l.shard = shard;
-    l.assignment = std::move(a);
-    l.monitor = std::make_unique<runtime::HealthMonitor>(cfg_.shard_health);
-    if (cfg_.detector == DetectorKind::Suspicion) {
-      l.suspicion = std::make_unique<runtime::SuspicionDetector>(cfg_.suspicion);
-    }
-    if (cfg_.dynamic_admission.enabled) {
-      l.dyn = std::make_unique<DynamicAdmission>(cfg_.dynamic_admission);
-      l.dyn_order = degrade_order(l.assignment.streams);
-    }
-    next.push_back(std::move(l));
+    next.push_back(make_launched(shard, std::move(a)));
   }
   for (std::size_t slot = 0; slot < next.size(); ++slot) {
     next[slot].assignment.crash = fault_.injector_for(wave_no + 1, slot, next.size());

@@ -236,6 +236,9 @@ class FleetController {
                              std::size_t wave_no);
   /// Record the epochs an assignment's journal dir was granted (audit).
   void record_grants(const ShardAssignment& a);
+  /// A wave entry serving `a` on `shard`, with its own health monitor
+  /// and, as configured, suspicion detector and dynamic admission.
+  Launched make_launched(std::size_t shard, ShardAssignment a) const;
 
   std::filesystem::path wave_dir(std::size_t shard, std::size_t wave_no) const;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/checksum.h"
-
 namespace safecross::runtime {
 
 namespace {
@@ -162,73 +160,42 @@ bool FaultInjector::next_switch_fails() {
   return fails;
 }
 
-void FaultInjector::truncate_file(const std::filesystem::path& path, std::size_t keep_bytes) {
-  common::truncate_file(path, keep_bytes);
+template <class Self, class A>
+void FaultInjector::persist(Self& self, A& a) {
+  a.nested(self.rng_);
+  a.enum_u8(self.current_, FrameFault::Blackout);
+  a.i32(self.blackout_left_);
+  a.u64(self.frames_seen_);
+  a.u64(self.frames_dropped_);
+  a.u64(self.frames_frozen_);
+  a.u64(self.noise_bursts_);
+  a.u64(self.blackout_frames_total_);
+  a.u64(self.switch_failures_);
+  a.nested(self.geo_rng_);
+  a.i32(self.frame_width_);
+  a.i32(self.frame_height_);
+  a.boolean(self.geo_seeded_);
+  a.f64(self.drift_dir_x_);
+  a.f64(self.drift_dir_y_);
+  a.f64(self.drift_rot_sign_);
+  a.f64(self.shake_phase_x_);
+  a.f64(self.shake_phase_y_);
+  a.f64(self.bump_dx_);
+  a.f64(self.bump_dy_);
+  a.f64(self.bump_rot_);
+  a.u64(self.geo_frames_);
+  a.u64(self.bumps_);
+  a.nested(self.view_);
 }
 
-void FaultInjector::corrupt_magic(const std::filesystem::path& path) {
-  common::corrupt_magic(path);
-}
-
-void FaultInjector::write_garbage(const std::filesystem::path& path, std::size_t bytes,
-                                  std::uint64_t seed) {
-  common::write_garbage(path, bytes, seed);
-}
-
-void FaultInjector::save_state(common::StateWriter& w) const {
-  rng_.save_state(w);
-  w.u8(static_cast<std::uint8_t>(current_));
-  w.i32(blackout_left_);
-  w.u64(frames_seen_);
-  w.u64(frames_dropped_);
-  w.u64(frames_frozen_);
-  w.u64(noise_bursts_);
-  w.u64(blackout_frames_total_);
-  w.u64(switch_failures_);
-  geo_rng_.save_state(w);
-  w.i32(frame_width_);
-  w.i32(frame_height_);
-  w.boolean(geo_seeded_);
-  w.f64(drift_dir_x_);
-  w.f64(drift_dir_y_);
-  w.f64(drift_rot_sign_);
-  w.f64(shake_phase_x_);
-  w.f64(shake_phase_y_);
-  w.f64(bump_dx_);
-  w.f64(bump_dy_);
-  w.f64(bump_rot_);
-  w.u64(geo_frames_);
-  w.u64(bumps_);
-  for (double v : view_.matrix()) w.f64(v);
-}
-
+void FaultInjector::save_state(common::StateWriter& w) const { persist(*this, w); }
 void FaultInjector::load_state(common::StateReader& r) {
-  rng_.load_state(r);
-  current_ = static_cast<FrameFault>(r.u8());
-  blackout_left_ = r.i32();
-  frames_seen_ = static_cast<std::size_t>(r.u64());
-  frames_dropped_ = static_cast<std::size_t>(r.u64());
-  frames_frozen_ = static_cast<std::size_t>(r.u64());
-  noise_bursts_ = static_cast<std::size_t>(r.u64());
-  blackout_frames_total_ = static_cast<std::size_t>(r.u64());
-  switch_failures_ = static_cast<std::size_t>(r.u64());
-  geo_rng_.load_state(r);
-  frame_width_ = r.i32();
-  frame_height_ = r.i32();
-  geo_seeded_ = r.boolean();
-  drift_dir_x_ = r.f64();
-  drift_dir_y_ = r.f64();
-  drift_rot_sign_ = r.f64();
-  shake_phase_x_ = r.f64();
-  shake_phase_y_ = r.f64();
-  bump_dx_ = r.f64();
-  bump_dy_ = r.f64();
-  bump_rot_ = r.f64();
-  geo_frames_ = static_cast<std::size_t>(r.u64());
-  bumps_ = static_cast<std::size_t>(r.u64());
-  std::array<double, 9> m{};
-  for (double& v : m) v = r.f64();
-  view_ = vision::Homography(m);
+  persist(*this, r);
+  // The geometry rotates about (size - 1) / 2; set_frame_size takes an
+  // image's (non-negative) dimensions.
+  if (frame_width_ < 0 || frame_height_ < 0) {
+    throw common::StateError("injector: negative frame size");
+  }
 }
 
 }  // namespace safecross::runtime

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 
 #include "common/rng.h"
 #include "vision/homography.h"
@@ -143,21 +142,6 @@ class FaultInjector {
   std::size_t blackout_frames_total() const { return blackout_frames_total_; }
   std::size_t switch_failures() const { return switch_failures_; }
 
-  // --- checkpoint corruption helpers (deterministic, file-level) ---
-  // Thin forwards to common/checksum.h so the model-store tests, the fault
-  // bench and the kill–recover chaos harness all damage files through the
-  // same primitives. Kept here for source compatibility.
-
-  /// Truncate a file to its first `keep_bytes` bytes (0 → empty file).
-  static void truncate_file(const std::filesystem::path& path, std::size_t keep_bytes);
-
-  /// Flip every bit of the first 4 bytes (destroys the checkpoint magic).
-  static void corrupt_magic(const std::filesystem::path& path);
-
-  /// Overwrite the whole file with `bytes` seeded garbage bytes.
-  static void write_garbage(const std::filesystem::path& path, std::size_t bytes,
-                            std::uint64_t seed);
-
   // --- checkpoint serialization ---
   // RNG stream + blackout countdown + counters, so a restored injector
   // deals the same fault sequence the killed one would have.
@@ -165,6 +149,9 @@ class FaultInjector {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   void step_geometry();
 
   FaultPlan plan_;

@@ -1,6 +1,7 @@
 #include "runtime/health_monitor.h"
 
 #include <cmath>
+#include <limits>
 
 namespace safecross::runtime {
 
@@ -46,7 +47,10 @@ void HealthMonitor::on_frame_event() {
 
 void HealthMonitor::frame_ok() {
   missing_streak_ = 0;
-  ++healthy_streak_;
+  // Streaks saturate: only reaching the thresholds matters, and a stream
+  // that stays nominal for 2^31 frames (~2.3 years at 30 Hz) must not
+  // overflow.
+  if (healthy_streak_ < std::numeric_limits<int>::max()) ++healthy_streak_;
   // De-escalate one level at a time after a sustained healthy streak; a
   // latched switch failure pins FailSafe regardless of stream health.
   if (healthy_streak_ >= config_.recover_after_healthy && state_ != HealthState::Nominal &&
@@ -60,7 +64,7 @@ void HealthMonitor::frame_ok() {
 }
 
 void HealthMonitor::frame_missing() {
-  ++missing_streak_;
+  if (missing_streak_ < std::numeric_limits<int>::max()) ++missing_streak_;
   healthy_streak_ = 0;
   if (missing_streak_ >= config_.failsafe_after_missing) {
     escalate(HealthState::FailSafe);
@@ -93,28 +97,20 @@ void HealthMonitor::switch_failed() {
 
 void HealthMonitor::switch_recovered() { switch_failure_latched_ = false; }
 
-void HealthMonitor::save_state(common::StateWriter& w) const {
-  w.boolean(external_latch_.load(std::memory_order_acquire));
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.i32(missing_streak_);
-  w.i32(healthy_streak_);
-  w.i32(switch_frames_left_);
-  w.boolean(switch_failure_latched_);
-  w.boolean(miscalibrated_);
-  w.u64(transitions_);
-  for (std::size_t n : frames_in_) w.u64(n);
+template <class Self, class A>
+void HealthMonitor::persist(Self& self, A& a) {
+  a.boolean(self.external_latch_);
+  a.enum_u8(self.state_, HealthState::FailSafe);
+  a.i32(self.missing_streak_);
+  a.i32(self.healthy_streak_);
+  a.i32(self.switch_frames_left_);
+  a.boolean(self.switch_failure_latched_);
+  a.boolean(self.miscalibrated_);
+  a.u64(self.transitions_);
+  for (auto& n : self.frames_in_) a.u64(n);
 }
 
-void HealthMonitor::load_state(common::StateReader& r) {
-  external_latch_.store(r.boolean(), std::memory_order_release);
-  state_ = static_cast<HealthState>(r.u8());
-  missing_streak_ = r.i32();
-  healthy_streak_ = r.i32();
-  switch_frames_left_ = r.i32();
-  switch_failure_latched_ = r.boolean();
-  miscalibrated_ = r.boolean();
-  transitions_ = static_cast<std::size_t>(r.u64());
-  for (std::size_t& n : frames_in_) n = static_cast<std::size_t>(r.u64());
-}
+void HealthMonitor::save_state(common::StateWriter& w) const { persist(*this, w); }
+void HealthMonitor::load_state(common::StateReader& r) { persist(*this, r); }
 
 }  // namespace safecross::runtime

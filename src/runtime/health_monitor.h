@@ -143,6 +143,9 @@ class HealthMonitor {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   void escalate(HealthState target);
   void on_frame_event();  // shared per-frame bookkeeping (time passes)
 

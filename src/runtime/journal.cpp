@@ -28,47 +28,24 @@ std::string encode_header() {
   return w.take();
 }
 
-bool decode_body(common::StateReader& r, JournalRecord& out) {
-  const std::uint8_t type = r.u8();
-  if (type == static_cast<std::uint8_t>(JournalRecordType::Decision)) {
-    out.type = JournalRecordType::Decision;
-    DecisionEntry& d = out.decision;
-    d.stream = r.u32();
-    d.seq = r.u64();
-    d.frame = r.u64();
-    d.danger_truth = r.boolean();
-    d.predicted_class = r.i32();
-    d.prob_danger = r.f32();
-    d.warn = r.boolean();
-    d.source = r.u8();
-    d.latency_ms = r.f64();
-    d.owner_epoch = r.u64();
-  } else if (type == static_cast<std::uint8_t>(JournalRecordType::Recalibration)) {
-    out.type = JournalRecordType::Recalibration;
-    RecalibrationEntry& c = out.recalibration;
-    c.stream = r.u32();
-    c.frame = r.u64();
-    for (double& v : c.image_to_grid) v = r.f64();
-    c.residual_rms = r.f64();
-    c.drift_px = r.f64();
-    c.attempts = r.u32();
-  } else if (type == static_cast<std::uint8_t>(JournalRecordType::ModelSwitchBegin) ||
-             type == static_cast<std::uint8_t>(JournalRecordType::ModelSwitchCommit) ||
-             type == static_cast<std::uint8_t>(JournalRecordType::ModelSwitchAbort)) {
-    out.type = static_cast<JournalRecordType>(type);
-    SwitchPhaseEntry& p = out.switch_phase;
-    p.switch_id = r.u64();
-    p.weather = r.u8();
-    p.mode = r.u8();
-    p.reason = r.u8();
-    p.wall_ms = r.f64();
-    p.at_decision = r.u64();
-  } else {
-    return false;
+/// One record payload: the type byte, then that type's entry body.
+template <class Record, class A>
+void persist_record(Record& rec, A& a) {
+  a.enum_u8(rec.type, JournalRecordType::ModelSwitchAbort);
+  switch (rec.type) {
+    case JournalRecordType::Decision:
+      DecisionEntry::persist(rec.decision, a);
+      return;
+    case JournalRecordType::Recalibration:
+      RecalibrationEntry::persist(rec.recalibration, a);
+      return;
+    case JournalRecordType::ModelSwitchBegin:
+    case JournalRecordType::ModelSwitchCommit:
+    case JournalRecordType::ModelSwitchAbort:
+      SwitchPhaseEntry::persist(rec.switch_phase, a);
+      return;
   }
-  // A payload with bytes left over passed the CRC but does not match any
-  // record layout we ever wrote — treat as corruption, not as a record.
-  return r.at_end();
+  throw common::StateError("journal: unknown record type");
 }
 
 }  // namespace
@@ -110,38 +87,7 @@ void Journal::open(const std::filesystem::path& path, JournalConfig config,
 
 std::string Journal::encode(const JournalRecord& record) {
   common::StateWriter payload;
-  payload.u8(static_cast<std::uint8_t>(record.type));
-  if (record.type == JournalRecordType::Decision) {
-    const DecisionEntry& d = record.decision;
-    payload.u32(d.stream);
-    payload.u64(d.seq);
-    payload.u64(d.frame);
-    payload.boolean(d.danger_truth);
-    payload.i32(d.predicted_class);
-    payload.f32(d.prob_danger);
-    payload.boolean(d.warn);
-    payload.u8(d.source);
-    payload.f64(d.latency_ms);
-    payload.u64(d.owner_epoch);
-  } else if (record.type == JournalRecordType::ModelSwitchBegin ||
-             record.type == JournalRecordType::ModelSwitchCommit ||
-             record.type == JournalRecordType::ModelSwitchAbort) {
-    const SwitchPhaseEntry& p = record.switch_phase;
-    payload.u64(p.switch_id);
-    payload.u8(p.weather);
-    payload.u8(p.mode);
-    payload.u8(p.reason);
-    payload.f64(p.wall_ms);
-    payload.u64(p.at_decision);
-  } else {
-    const RecalibrationEntry& c = record.recalibration;
-    payload.u32(c.stream);
-    payload.u64(c.frame);
-    for (double v : c.image_to_grid) payload.f64(v);
-    payload.f64(c.residual_rms);
-    payload.f64(c.drift_px);
-    payload.u32(c.attempts);
-  }
+  persist_record(record, payload);
 
   common::StateWriter frame;
   frame.u32(static_cast<std::uint32_t>(payload.bytes().size()));
@@ -265,7 +211,10 @@ Journal::ReplayReport Journal::replay(const std::filesystem::path& path) {
     bool ok = false;
     try {
       common::StateReader body(payload, len);
-      ok = decode_body(body, record);
+      persist_record(record, body);
+      // A payload with bytes left over passed the CRC but does not match
+      // any record layout we ever wrote — corruption, not a record.
+      ok = body.at_end();
     } catch (const common::StateError&) {
       ok = false;
     }

@@ -83,6 +83,20 @@ struct DecisionEntry {
   // the fleet mints epochs starting at 1. The post-run epoch audit walks
   // journals and rejects any decision recorded under a stale epoch.
   std::uint64_t owner_epoch = 0;
+
+  template <class Self, class A>
+  static void persist(Self& d, A& a) {
+    a.u32(d.stream);
+    a.u64(d.seq);
+    a.u64(d.frame);
+    a.boolean(d.danger_truth);
+    a.i32(d.predicted_class);
+    a.f32(d.prob_danger);
+    a.boolean(d.warn);
+    a.u8(d.source);
+    a.f64(d.latency_ms);
+    a.u64(d.owner_epoch);
+  }
 };
 
 /// One accepted online recalibration: the image->grid homography the
@@ -97,6 +111,17 @@ struct RecalibrationEntry {
   double residual_rms = 0.0;
   double drift_px = 0.0;             // detected drift that triggered it
   std::uint32_t attempts = 0;        // estimate attempts (retry_with_backoff)
+
+  /// Shared by the journal record and RecalibrationLoop's checkpoint.
+  template <class Self, class A>
+  static void persist(Self& c, A& a) {
+    a.u32(c.stream);
+    a.u64(c.frame);
+    for (auto& v : c.image_to_grid) a.f64(v);
+    a.f64(c.residual_rms);
+    a.f64(c.drift_px);
+    a.u32(c.attempts);
+  }
 };
 
 /// One phase transition of a serving-path model switch. All three phase
@@ -111,6 +136,16 @@ struct SwitchPhaseEntry {
   std::uint8_t reason = 0;
   double wall_ms = 0.0;       // load wall time (Commit only; 0 otherwise)
   std::uint64_t at_decision = 0;  // decisions journaled before this phase
+
+  template <class Self, class A>
+  static void persist(Self& p, A& a) {
+    a.u64(p.switch_id);
+    a.u8(p.weather);
+    a.u8(p.mode);
+    a.u8(p.reason);
+    a.f64(p.wall_ms);
+    a.u64(p.at_decision);
+  }
 };
 
 struct JournalRecord {

@@ -124,80 +124,23 @@ std::vector<RecalibrationEntry> RecalibrationLoop::take_completed() {
   return out;
 }
 
-void RecalibrationLoop::write_homography(common::StateWriter& w,
-                                         const vision::Homography& h) const {
-  for (double v : h.matrix()) w.f64(v);
+template <class Self, class A>
+void RecalibrationLoop::persist(Self& self, A& a) {
+  a.enum_u8(self.state_, CalibrationState::Recalibrating);
+  a.nested(self.applied_view_);
+  a.nested(self.pending_view_);
+  a.nested(self.pending_grid_);
+  RecalibrationEntry::persist(self.pending_record_, a);
+  a.u64(self.countdown_);
+  a.seq(self.completed_, [](auto& a, auto& e) { RecalibrationEntry::persist(e, a); });
+  a.u64(self.checks_run_);
+  a.u64(self.episodes_);
+  a.u64(self.recalibrations_);
+  a.u64(self.estimates_rejected_);
+  a.f64(self.last_drift_px_);
 }
 
-vision::Homography RecalibrationLoop::read_homography(common::StateReader& r) const {
-  std::array<double, 9> m{};
-  for (double& v : m) v = r.f64();
-  return vision::Homography(m);
-}
-
-void RecalibrationLoop::save_state(common::StateWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  write_homography(w, applied_view_);
-  write_homography(w, pending_view_);
-  write_homography(w, pending_grid_);
-  w.u32(pending_record_.stream);
-  w.u64(pending_record_.frame);
-  for (double v : pending_record_.image_to_grid) w.f64(v);
-  w.f64(pending_record_.residual_rms);
-  w.f64(pending_record_.drift_px);
-  w.u32(pending_record_.attempts);
-  w.u64(countdown_);
-  w.u64(completed_.size());
-  for (const RecalibrationEntry& e : completed_) {
-    w.u32(e.stream);
-    w.u64(e.frame);
-    for (double v : e.image_to_grid) w.f64(v);
-    w.f64(e.residual_rms);
-    w.f64(e.drift_px);
-    w.u32(e.attempts);
-  }
-  w.u64(checks_run_);
-  w.u64(episodes_);
-  w.u64(recalibrations_);
-  w.u64(estimates_rejected_);
-  w.f64(last_drift_px_);
-}
-
-void RecalibrationLoop::load_state(common::StateReader& r) {
-  state_ = static_cast<CalibrationState>(r.u8());
-  applied_view_ = read_homography(r);
-  pending_view_ = read_homography(r);
-  pending_grid_ = read_homography(r);
-  pending_record_.stream = r.u32();
-  pending_record_.frame = r.u64();
-  for (double& v : pending_record_.image_to_grid) v = r.f64();
-  pending_record_.residual_rms = r.f64();
-  pending_record_.drift_px = r.f64();
-  pending_record_.attempts = r.u32();
-  countdown_ = static_cast<std::size_t>(r.u64());
-  // The entry count is untrusted: bound it by the bytes that are left
-  // before sizing anything from it.
-  constexpr std::size_t kEntryBytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-                                      sizeof(RecalibrationEntry::image_to_grid) +
-                                      2 * sizeof(double);
-  const std::uint64_t entries = r.u64();
-  if (entries > r.remaining() / kEntryBytes) {
-    throw common::StateError("recalibration: completed-entry count exceeds the payload");
-  }
-  completed_.resize(static_cast<std::size_t>(entries));
-  for (RecalibrationEntry& e : completed_) {
-    e.stream = r.u32();
-    e.frame = r.u64();
-    for (double& v : e.image_to_grid) v = r.f64();
-    e.residual_rms = r.f64();
-    e.drift_px = r.f64();
-    e.attempts = r.u32();
-  }
-  checks_run_ = static_cast<std::size_t>(r.u64());
-  episodes_ = static_cast<std::size_t>(r.u64());
-  recalibrations_ = static_cast<std::size_t>(r.u64());
-  estimates_rejected_ = static_cast<std::size_t>(r.u64());
-  last_drift_px_ = r.f64();
-}
+void RecalibrationLoop::save_state(common::StateWriter& w) const { persist(*this, w); }
+void RecalibrationLoop::load_state(common::StateReader& r) { persist(*this, r); }
 
 }  // namespace safecross::runtime

@@ -101,9 +101,10 @@ class RecalibrationLoop {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   bool start_solve(const vision::CalibrationEstimate& est, std::uint32_t attempts);
-  void write_homography(common::StateWriter& w, const vision::Homography& h) const;
-  vision::Homography read_homography(common::StateReader& r) const;
 
   RecalibrationConfig config_;
   vision::Homography ideal_grid_;  // the calibrated-camera image->grid map

@@ -1,5 +1,7 @@
 #include "serving/stream.h"
 
+#include <limits>
+
 #include "sim/weather.h"
 
 namespace safecross::serving {
@@ -83,7 +85,9 @@ std::optional<ReadyWindow> StreamContext::tick() {
       recalib_outbox_.insert(recalib_outbox_.end(), done.begin(), done.end());
     }
   }
-  ++frames_since_decision_;
+  // Saturates: a camera that sees no waiting turner for 2^31 frames
+  // (~2.3 years at 30 Hz) must not overflow it.
+  if (frames_since_decision_ < std::numeric_limits<int>::max()) ++frames_since_decision_;
 
   const sim::Vehicle* subject = sim_.subject(config_.vp.approach);
   const bool subject_waiting =
@@ -127,81 +131,55 @@ void StreamContext::apply(const ReadyWindow& w, int predicted_class, float prob_
   }
 }
 
-void StreamContext::save_state(common::StateWriter& w) const {
-  sim_.save_state(w);
-  collector_.save_state(w);
-  health_.save_state(w);
-  w.boolean(injector_active_);
-  if (injector_active_) injector_.save_state(w);
+template <class Self, class A>
+void StreamContext::persist(Self& self, A& a) {
+  a.nested(self.sim_);
+  a.nested(self.collector_);
+  a.nested(self.health_);
+  // Whether the injector and the recalibration loop exist is config, not
+  // state; the flags let a load refuse a snapshot cut under another config.
+  bool injector = self.injector_active_;
+  a.boolean(injector);
+  if (injector != self.injector_active_) {
+    throw common::StateError("stream: fault-plan mismatch between snapshot and config");
+  }
+  if (self.injector_active_) a.nested(self.injector_);
   // Snapshots are cut at quiescent points where the server has already
   // drained the recalibration outbox into the journal, so only the loop
   // itself is state here.
-  w.boolean(recalib_ != nullptr);
-  if (recalib_) recalib_->save_state(w);
-  w.u8(static_cast<std::uint8_t>(model_weather_));
-  w.u64(schedule_pos_);
-  w.u32(switch_epoch_);
-  w.u64(frame_);
-  w.u64(produced_);
-  w.i32(frames_since_decision_);
-  scorecard_.save_state(w);
-  w.boolean(record_trace_);
-  w.u64(trace_.size());
-  for (const DecisionRecord& d : trace_) {
-    w.u64(d.frame);
-    w.boolean(d.danger_truth);
-    w.i32(d.predicted_class);
-    w.f32(d.prob_danger);
-    w.boolean(d.warn);
-    w.u8(static_cast<std::uint8_t>(d.source));
-    w.u8(static_cast<std::uint8_t>(d.model_weather));
-    w.u32(d.epoch);
-  }
-}
-
-void StreamContext::load_state(common::StateReader& r) {
-  sim_.load_state(r);
-  collector_.load_state(r);
-  health_.load_state(r);
-  const bool injector_was_active = r.boolean();
-  if (injector_was_active != injector_active_) {
-    throw common::StateError("stream: fault-plan mismatch between snapshot and config");
-  }
-  if (injector_active_) injector_.load_state(r);
-  const bool recalib_was_on = r.boolean();
-  if (recalib_was_on != (recalib_ != nullptr)) {
+  bool recalib = self.recalib_ != nullptr;
+  a.boolean(recalib);
+  if (recalib != (self.recalib_ != nullptr)) {
     throw common::StateError("stream: recalibration mismatch between snapshot and config");
   }
-  if (recalib_) recalib_->load_state(r);
-  model_weather_ = static_cast<Weather>(r.u8());
-  schedule_pos_ = static_cast<std::size_t>(r.u64());
-  switch_epoch_ = r.u32();
-  frame_ = static_cast<std::size_t>(r.u64());
-  produced_ = static_cast<std::size_t>(r.u64());
-  frames_since_decision_ = r.i32();
-  scorecard_.load_state(r);
-  record_trace_ = r.boolean();
-  // The record count is untrusted: bound it by the bytes that are left
-  // before sizing anything from it. A record is frame u64, truth u8,
-  // class i32, prob f32, warn u8, source u8, weather u8, epoch u32.
-  constexpr std::size_t kRecordBytes = 8 + 1 + 4 + 4 + 1 + 1 + 1 + 4;
-  const std::uint64_t n_trace = r.u64();
-  if (n_trace > r.remaining() / kRecordBytes) {
-    throw common::StateError("stream: trace record count exceeds the payload");
-  }
-  trace_.clear();
-  trace_.reserve(static_cast<std::size_t>(n_trace));
-  for (std::uint64_t i = 0; i < n_trace; ++i) {
-    DecisionRecord d;
-    d.frame = static_cast<std::size_t>(r.u64());
-    d.danger_truth = r.boolean();
-    d.predicted_class = r.i32();
-    d.prob_danger = r.f32();
-    d.warn = r.boolean();
-    d.source = static_cast<runtime::DecisionSource>(r.u8());
-    d.model_weather = static_cast<Weather>(r.u8());
-    d.epoch = r.u32();
-    trace_.push_back(d);
+  if (self.recalib_) a.nested(*self.recalib_);
+  a.enum_u8(self.model_weather_, Weather::Fog);
+  a.u64(self.schedule_pos_);
+  a.u32(self.switch_epoch_);
+  a.u64(self.frame_);
+  a.u64(self.produced_);
+  a.i32(self.frames_since_decision_);
+  a.nested(self.scorecard_);
+  a.boolean(self.record_trace_);
+  a.seq(self.trace_, [](auto& a, auto& d) {
+    a.u64(d.frame);
+    a.boolean(d.danger_truth);
+    a.i32(d.predicted_class);
+    a.f32(d.prob_danger);
+    a.boolean(d.warn);
+    a.enum_u8(d.source, DecisionSource::FleetDegraded);
+    a.enum_u8(d.model_weather, Weather::Fog);
+    a.u32(d.epoch);
+  });
+}
+
+void StreamContext::save_state(common::StateWriter& w) const { persist(*this, w); }
+void StreamContext::load_state(common::StateReader& r) {
+  persist(*this, r);
+  // apply() indexes the trace by window ordinal, and a snapshot is cut
+  // with every produced window applied.
+  if (record_trace_ && trace_.size() != produced_) {
+    throw common::StateError("stream: trace length differs from windows produced");
   }
 }
 

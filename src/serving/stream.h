@@ -211,6 +211,9 @@ class StreamContext {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   StreamConfig config_;
   sim::TrafficSimulator sim_;
   sim::CameraModel camera_;

@@ -155,35 +155,37 @@ std::uint64_t StreamServer::config_fingerprint() const {
          (static_cast<std::uint64_t>(bytes.size()) << 32);
 }
 
-std::string StreamServer::snapshot_payload() const {
-  common::StateWriter w;
-  w.u64(config_fingerprint());
-  w.u64(windows_batched_);
-  w.u64(streams_.size());
-  for (char d : down_) w.boolean(d != 0);
+template <class Self, class A>
+void StreamServer::persist_snapshot(Self& self, A& a) {
+  std::uint64_t fp = self.config_fingerprint();
+  a.u64(fp);
+  if (fp != self.config_fingerprint()) {
+    throw std::runtime_error(
+        "StreamServer::recover: snapshot was taken under a different stream "
+        "configuration (fingerprint mismatch)");
+  }
+  a.u64(self.windows_batched_);
+  std::uint64_t k = self.streams_.size();
+  a.u64(k);
+  if (k != self.streams_.size()) {
+    throw std::runtime_error("StreamServer::recover: snapshot stream count mismatch");
+  }
+  for (auto& d : self.down_) a.boolean(d);
   // Detached flags are durable: a crash after a cooperative drain must
   // not resurrect streams that already moved to a peer.
-  for (char d : detached_) w.boolean(d != 0);
-  for (const auto& ctx : streams_) ctx->save_state(w);
+  for (auto& d : self.detached_) a.boolean(d);
+  for (auto& ctx : self.streams_) a.nested(*ctx);
+}
+
+std::string StreamServer::snapshot_payload() const {
+  common::StateWriter w;
+  persist_snapshot(*this, w);
   return w.take();
 }
 
 void StreamServer::load_snapshot_payload(const std::string& payload) {
   common::StateReader r(payload);
-  const std::uint64_t fp = r.u64();
-  if (fp != config_fingerprint()) {
-    throw std::runtime_error(
-        "StreamServer::recover: snapshot was taken under a different stream "
-        "configuration (fingerprint mismatch)");
-  }
-  windows_batched_ = static_cast<std::size_t>(r.u64());
-  const std::uint64_t k = r.u64();
-  if (k != streams_.size()) {
-    throw std::runtime_error("StreamServer::recover: snapshot stream count mismatch");
-  }
-  for (std::size_t i = 0; i < streams_.size(); ++i) down_[i] = r.boolean() ? 1 : 0;
-  for (std::size_t i = 0; i < streams_.size(); ++i) detached_[i] = r.boolean() ? 1 : 0;
-  for (auto& ctx : streams_) ctx->load_state(r);
+  persist_snapshot(*this, r);
 }
 
 void StreamServer::prepare_durability() {

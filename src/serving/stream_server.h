@@ -435,6 +435,8 @@ class StreamServer {
     return durable() && config_.durability.snapshot_every_decisions > 0 &&
            decisions_since_snapshot_ >= config_.durability.snapshot_every_decisions;
   }
+  template <class Self, class A>
+  static void persist_snapshot(Self& self, A& a);
   std::string snapshot_payload() const;
   void load_snapshot_payload(const std::string& payload);
   /// Serialize + atomically publish one snapshot generation. Caller must

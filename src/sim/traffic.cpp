@@ -300,98 +300,46 @@ bool TrafficSimulator::blind_area_present(Approach approach) const {
   return b != nullptr && is_view_blocking(b->type);
 }
 
-void TrafficSimulator::save_state(common::StateWriter& w) const {
-  rng_.save_state(w);
-  w.f64(time_);
-  w.u64(next_id_);
-
-  w.u64(vehicles_.size());
-  for (const Vehicle& v : vehicles_) {
-    w.u64(v.id);
-    w.u8(static_cast<std::uint8_t>(v.route));
-    w.u8(static_cast<std::uint8_t>(v.type));
-    w.f64(v.s);
-    w.f64(v.speed);
-    w.f64(v.free_speed);
-    w.f64(v.length);
-    w.f64(v.width);
-    w.f64(v.intensity);
-    w.u8(static_cast<std::uint8_t>(v.state));
-    w.f64(v.hold_time);
-    w.f64(v.aggressiveness);
-  }
-
-  w.u64(next_spawn_.size());
-  for (double t : next_spawn_) w.f64(t);
-
-  for (const auto& keys : keyframes_) {
-    w.u64(keys.size());
-    for (std::uint64_t id : keys) w.u64(id);
-  }
-  for (std::uint64_t n : completed_turns_) w.u64(n);
-
-  w.u64(pedestrians_.size());
-  for (const Pedestrian& p : pedestrians_) {
-    w.u64(p.id);
-    w.i32(p.crosswalk);
-    w.f64(p.progress);
-    w.f64(p.speed);
-    w.i32(p.direction);
-  }
-  for (double t : next_pedestrian_) w.f64(t);
+template <class Self, class A>
+void TrafficSimulator::persist(Self& self, A& a) {
+  a.nested(self.rng_);
+  a.f64(self.time_);
+  a.u64(self.next_id_);
+  a.seq(self.vehicles_, [](auto& a, auto& v) {
+    a.u64(v.id);
+    a.enum_u8(v.route, RouteId::EastboundThrough);
+    a.enum_u8(v.type, VehicleType::Truck);
+    a.f64(v.s);
+    a.f64(v.speed);
+    a.f64(v.free_speed);
+    a.f64(v.length);
+    a.f64(v.width);
+    a.f64(v.intensity);
+    a.enum_u8(v.state, DriverState::Done);
+    a.f64(v.hold_time);
+    a.f64(v.aggressiveness);
+  });
+  a.seq(self.next_spawn_, [](auto& a, auto& t) { a.f64(t); });
+  for (auto& keys : self.keyframes_) a.seq(keys, [](auto& a, auto& id) { a.u64(id); });
+  for (auto& n : self.completed_turns_) a.u64(n);
+  a.seq(self.pedestrians_, [](auto& a, auto& p) {
+    a.u64(p.id);
+    a.i32(p.crosswalk);
+    a.f64(p.progress);
+    a.f64(p.speed);
+    a.i32(p.direction);
+  });
+  for (auto& t : self.next_pedestrian_) a.f64(t);
 }
 
+void TrafficSimulator::save_state(common::StateWriter& w) const { persist(*this, w); }
+
 void TrafficSimulator::load_state(common::StateReader& r) {
-  rng_.load_state(r);
-  time_ = r.f64();
-  next_id_ = r.u64();
-
-  const std::uint64_t n_vehicles = r.u64();
-  vehicles_.clear();
-  vehicles_.reserve(static_cast<std::size_t>(n_vehicles));
-  for (std::uint64_t i = 0; i < n_vehicles; ++i) {
-    Vehicle v;
-    v.id = r.u64();
-    v.route = static_cast<RouteId>(r.u8());
-    v.type = static_cast<VehicleType>(r.u8());
-    v.s = r.f64();
-    v.speed = r.f64();
-    v.free_speed = r.f64();
-    v.length = r.f64();
-    v.width = r.f64();
-    v.intensity = r.f64();
-    v.state = static_cast<DriverState>(r.u8());
-    v.hold_time = r.f64();
-    v.aggressiveness = r.f64();
-    vehicles_.push_back(v);
+  persist(*this, r);
+  // maybe_spawn() indexes the spawn timers by route.
+  if (next_spawn_.size() != static_cast<std::size_t>(kNumRoutes)) {
+    throw common::StateError("traffic: spawn timers are not one per route");
   }
-
-  const std::uint64_t n_spawn = r.u64();
-  next_spawn_.clear();
-  next_spawn_.reserve(static_cast<std::size_t>(n_spawn));
-  for (std::uint64_t i = 0; i < n_spawn; ++i) next_spawn_.push_back(r.f64());
-
-  for (auto& keys : keyframes_) {
-    const std::uint64_t n = r.u64();
-    keys.clear();
-    keys.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) keys.push_back(r.u64());
-  }
-  for (std::uint64_t& n : completed_turns_) n = r.u64();
-
-  const std::uint64_t n_peds = r.u64();
-  pedestrians_.clear();
-  pedestrians_.reserve(static_cast<std::size_t>(n_peds));
-  for (std::uint64_t i = 0; i < n_peds; ++i) {
-    Pedestrian p;
-    p.id = r.u64();
-    p.crosswalk = r.i32();
-    p.progress = r.f64();
-    p.speed = r.f64();
-    p.direction = r.i32();
-    pedestrians_.push_back(p);
-  }
-  for (double& t : next_pedestrian_) t = r.f64();
 }
 
 }  // namespace safecross::sim

@@ -145,6 +145,9 @@ class TrafficSimulator {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   void maybe_spawn();
   void spawn(RouteId route);
   void update_pedestrians();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -56,7 +57,9 @@ const BitMask& RunningAverageBackground::apply_bits(const Image& frame) {
   // Update first so stationary objects melt into the background over time
   // ("we do not need information from vehicles that are not moving").
   make_mask<true>(frame, background_, config_, mask_);
-  ++frames_seen_;
+  // Saturates: past warm-up only "more than warmup_frames" matters, and a
+  // feed that runs 2^31 frames (~2.3 years at 30 Hz) must not overflow.
+  if (frames_seen_ < std::numeric_limits<int>::max()) ++frames_seen_;
   if (frames_seen_ <= config_.warmup_frames) {
     mask_.reset(frame.width(), frame.height());
   } else if (config_.apply_opening) {
@@ -80,7 +83,7 @@ const BitMask& StaticBackground::apply_bits(const Image& frame) {
     return mask_;
   }
   check_size(frame, background_);
-  ++frames_seen_;
+  if (frames_seen_ < std::numeric_limits<int>::max()) ++frames_seen_;  // as above
   if (frames_seen_ <= config_.warmup_frames) {
     // Average the warm-up frames into the frozen background.
     const float w = 1.0f / static_cast<float>(frames_seen_);

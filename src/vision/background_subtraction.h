@@ -58,16 +58,16 @@ class RunningAverageBackground final : public BackgroundSubtractor {
   int frames_seen() const { return frames_seen_; }
 
   /// Checkpoint serialization: the learned background plus its age.
-  void save_state(common::StateWriter& w) const {
-    background_.save_state(w);
-    w.i32(frames_seen_);
-  }
-  void load_state(common::StateReader& r) {
-    background_.load_state(r);
-    frames_seen_ = r.i32();
-  }
+  void save_state(common::StateWriter& w) const { persist(*this, w); }
+  void load_state(common::StateReader& r) { persist(*this, r); }
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a) {
+    a.nested(self.background_);
+    a.i32(self.frames_seen_);
+  }
+
   BackgroundSubtractionConfig config_;
   Image background_;
   int frames_seen_ = 0;

@@ -63,6 +63,10 @@ class Homography {
 
   const std::array<double, 9>& matrix() const { return h_; }
 
+  /// Checkpoint serialization: the nine matrix entries.
+  void save_state(common::StateWriter& w) const { persist(*this, w); }
+  void load_state(common::StateReader& r) { persist(*this, r); }
+
   /// Warp `src` into a dst_width x dst_height image: for each destination
   /// pixel, apply the *inverse* mapping and bilinearly sample the source.
   /// `this` must map src coordinates to dst coordinates.
@@ -73,6 +77,11 @@ class Homography {
   Image warp(const BitMask& src, int dst_width, int dst_height) const;
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a) {
+    for (auto& v : self.h_) a.f64(v);
+  }
+
   std::array<double, 9> h_;
 };
 

@@ -128,24 +128,16 @@ std::string Image::to_ascii(int max_cols) const {
   return out;
 }
 
-void Image::save_state(common::StateWriter& w) const {
-  w.i32(width_);
-  w.i32(height_);
-  w.raw(data_.data(), data_.size() * sizeof(float));
+template <class Self, class A>
+void Image::persist(Self& self, A& a) {
+  a.i32(self.width_);
+  a.i32(self.height_);
+  if (self.width_ < 0 || self.height_ < 0) throw common::StateError("image: negative dimensions");
+  a.raw_array(self.data_,
+              static_cast<std::size_t>(self.width_) * static_cast<std::size_t>(self.height_));
 }
 
-void Image::load_state(common::StateReader& r) {
-  const std::int32_t w = r.i32();
-  const std::int32_t h = r.i32();
-  if (w < 0 || h < 0) throw common::StateError("image: negative dimensions");
-  const std::size_t pixels = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-  if (pixels * sizeof(float) > r.remaining()) {
-    throw common::StateError("image: pixel data truncated");
-  }
-  width_ = w;
-  height_ = h;
-  data_.resize(pixels);
-  r.raw(data_.data(), pixels * sizeof(float));
-}
+void Image::save_state(common::StateWriter& w) const { persist(*this, w); }
+void Image::load_state(common::StateReader& r) { persist(*this, r); }
 
 }  // namespace safecross::vision

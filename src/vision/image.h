@@ -88,6 +88,9 @@ class Image {
   void load_state(common::StateReader& r);
 
  private:
+  template <class Self, class A>
+  static void persist(Self& self, A& a);
+
   int width_ = 0;
   int height_ = 0;
   std::vector<float> data_;

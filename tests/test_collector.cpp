@@ -213,6 +213,26 @@ TEST(Collector, RestoreRefusesNonFiniteRemap) {
   EXPECT_EQ(collector.frames_processed(), 13u);
 }
 
+// step() would count a hold past one segment without ever cutting it,
+// and from INT_MAX overflow the count.
+TEST(Collector, RestoreRefusesHoldCountOutsideOneSegment) {
+  sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), 31);
+  sim::CameraModel cam(sim.intersection().geometry());
+  SegmentCollector collector(sim, cam, {}, 32);
+  const std::string good = collector_state(0, 0, 0);
+  const std::size_t hold_at = good.size() - 9 * 8 - 8 - 4;  // before subject id and remap
+  for (const std::int32_t bad : {-1, 32, std::numeric_limits<std::int32_t>::max()}) {
+    std::string bytes = good;
+    std::memcpy(&bytes[hold_at], &bad, sizeof bad);
+    EXPECT_THROW(restore(collector, bytes), common::StateError) << "hold " << bad;
+  }
+  std::string bytes = good;
+  const std::int32_t last = 31;
+  std::memcpy(&bytes[hold_at], &last, sizeof last);
+  restore(collector, bytes);
+  collector.step();
+}
+
 TEST(Collector, RestoreRefusesBackgroundOfAnotherSize) {
   sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), 27);
   sim::CameraModel cam(sim.intersection().geometry());

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/state_io.h"
 
 namespace safecross::runtime {
@@ -157,14 +158,14 @@ TEST(FaultInjector, TruncateFileKeepsPrefix) {
     const char bytes[] = "0123456789abcdef";
     os.write(bytes, 16);
   }
-  FaultInjector::truncate_file(tmp.path, 5);
+  common::truncate_file(tmp.path, 5);
   EXPECT_EQ(fs::file_size(tmp.path), 5u);
   std::ifstream is(tmp.path, std::ios::binary);
   char head[5] = {};
   is.read(head, 5);
   EXPECT_EQ(std::string(head, 5), "01234");
 
-  FaultInjector::truncate_file(tmp.path, 0);
+  common::truncate_file(tmp.path, 0);
   EXPECT_EQ(fs::file_size(tmp.path), 0u);
 }
 
@@ -175,7 +176,7 @@ TEST(FaultInjector, CorruptMagicFlipsHeaderOnly) {
     const char bytes[] = {0x05, 0x11, 0x22, 0x33, 'T', 'A', 'I', 'L'};
     os.write(bytes, 8);
   }
-  FaultInjector::corrupt_magic(tmp.path);
+  common::corrupt_magic(tmp.path);
   std::ifstream is(tmp.path, std::ios::binary);
   char bytes[8] = {};
   is.read(bytes, 8);
@@ -294,8 +295,8 @@ TEST(FaultInjectorGeometry, SaveLoadMidDriftContinuesBitIdentical) {
 
 TEST(FaultInjector, WriteGarbageIsDeterministic) {
   TempFile a("garbage_a.bin"), b("garbage_b.bin");
-  FaultInjector::write_garbage(a.path, 256, 99);
-  FaultInjector::write_garbage(b.path, 256, 99);
+  common::write_garbage(a.path, 256, 99);
+  common::write_garbage(b.path, 256, 99);
   std::ifstream ia(a.path, std::ios::binary), ib(b.path, std::ios::binary);
   std::vector<char> da(256), db(256);
   ia.read(da.data(), 256);

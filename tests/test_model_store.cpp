@@ -7,7 +7,6 @@
 #include "common/checksum.h"
 #include "dataset/builder.h"
 #include "fewshot/trainer.h"
-#include "runtime/fault_injector.h"
 
 namespace safecross::core {
 namespace {
@@ -146,7 +145,7 @@ TEST(ModelStore, TruncatedWeatherFileSkippedHealthyOnesLoad) {
   // Truncate the rain checkpoint to half its size (lost tail of a write).
   const auto rain_path = store.path_for(dataset::Weather::Rain);
   const auto full_size = fs::file_size(rain_path);
-  runtime::FaultInjector::truncate_file(rain_path, full_size / 2);
+  common::truncate_file(rain_path, full_size / 2);
 
   SafeCross restored(tiny_config());
   const auto report = store.load_report(restored, tiny_config());
@@ -182,12 +181,12 @@ TEST(ModelStore, ZeroByteAndBadMagicFilesSkipped) {
   store.save(sc);
 
   // Fabricate a zero-byte snow checkpoint and a garbage fog checkpoint.
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Snow), 0, 1);
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Fog), 4096, 2);
+  common::write_garbage(store.path_for(dataset::Weather::Snow), 0, 1);
+  common::write_garbage(store.path_for(dataset::Weather::Fog), 4096, 2);
   // And flip the magic on a copy of the healthy daytime file as night.
   fs::copy_file(store.path_for(dataset::Weather::Daytime),
                 store.path_for(dataset::Weather::Night));
-  runtime::FaultInjector::corrupt_magic(store.path_for(dataset::Weather::Night));
+  common::corrupt_magic(store.path_for(dataset::Weather::Night));
 
   SafeCross restored(tiny_config());
   const auto report = store.load_report(restored, tiny_config());
@@ -244,7 +243,7 @@ TEST(ModelStore, PersistentlyBadCheckpointExhaustsRetryBudget) {
   TempDir tmp;
   fs::create_directories(tmp.path);
   ModelStore store(tmp.path);
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Snow), 4096, 5);
+  common::write_garbage(store.path_for(dataset::Weather::Snow), 4096, 5);
 
   runtime::BackoffPolicy policy;
   policy.initial_ms = 0.1;  // keep the test fast
@@ -266,7 +265,7 @@ TEST(ModelStore, RetryBudgetIsConfigurable) {
   TempDir tmp;
   fs::create_directories(tmp.path);
   ModelStore store(tmp.path);
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Fog), 64, 6);
+  common::write_garbage(store.path_for(dataset::Weather::Fog), 64, 6);
 
   runtime::BackoffPolicy policy = store.retry_policy();
   policy.initial_ms = 0.1;
@@ -287,10 +286,10 @@ TEST(ModelStore, WarmManifestOrdersBySizeAndTruncatesToCapacity) {
   fs::create_directories(tmp.path);
   ModelStore store(tmp.path);
   // Fabricated checkpoints: the manifest reads sizes only, never content.
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Daytime), 100, 1);
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Rain), 300, 2);
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Snow), 200, 3);
-  runtime::FaultInjector::write_garbage(store.path_for(dataset::Weather::Fog), 300, 4);
+  common::write_garbage(store.path_for(dataset::Weather::Daytime), 100, 1);
+  common::write_garbage(store.path_for(dataset::Weather::Rain), 300, 2);
+  common::write_garbage(store.path_for(dataset::Weather::Snow), 200, 3);
+  common::write_garbage(store.path_for(dataset::Weather::Fog), 300, 4);
 
   const auto all = store.warm_manifest();
   ASSERT_EQ(all.size(), 4u);
