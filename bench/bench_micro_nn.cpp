@@ -91,29 +91,22 @@ void BM_SGemmTN(benchmark::State& state) {
 }
 BENCHMARK(BM_SGemmTN)->Unit(benchmark::kMillisecond);
 
-// Square compute-bound GEMM, per kernel: the cleanest view of the packed
-// microkernel's advantage over the scalar tile loops. 512^3 = 268 MFLOP.
-void BM_SGemmSquare(benchmark::State& state, nn::GemmKernel kernel) {
+// Square compute-bound GEMM: the packed microkernel's peak rate.
+// 512^3 = 268 MFLOP.
+void BM_SGemmSquareMicro(benchmark::State& state) {
   const int n = 512;
   const Tensor a = random_tensor({n, n}, 17);
   const Tensor b = random_tensor({n, n}, 18);
   Tensor c({n, n});
   for (auto _ : state) {
     nn::sgemm(nn::Trans::kNo, nn::Trans::kNo, n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f,
-              c.data(), n, kernel);
+              c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] =
       benchmark::Counter(2.0 * n * n * n * state.iterations() * 1e-9, benchmark::Counter::kIsRate);
 }
-void BM_SGemmSquareMicro(benchmark::State& state) {
-  BM_SGemmSquare(state, nn::GemmKernel::kMicro);
-}
 BENCHMARK(BM_SGemmSquareMicro)->Unit(benchmark::kMillisecond);
-void BM_SGemmSquareScalar(benchmark::State& state) {
-  BM_SGemmSquare(state, nn::GemmKernel::kScalar);
-}
-BENCHMARK(BM_SGemmSquareScalar)->Unit(benchmark::kMillisecond);
 
 void BM_Conv2DForward(benchmark::State& state) {
   nn::Conv2DConfig cfg;

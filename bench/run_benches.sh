@@ -28,18 +28,6 @@ if [[ ! -d "$build_dir/bench" ]]; then
   exit 1
 fi
 
-# Fail fast on a typo'd kernel selection: a misspelled value would
-# otherwise throw from the first sgemm call deep inside a bench run.
-# (sgemm's own resolver throws too — this just surfaces it up front.)
-case "${SAFECROSS_GEMM_KERNEL:-auto}" in
-  auto|micro|scalar) ;;
-  *)
-    echo "error: SAFECROSS_GEMM_KERNEL='${SAFECROSS_GEMM_KERNEL}' is not one of" \
-         "auto|micro|scalar" >&2
-    exit 2
-    ;;
-esac
-
 extra_args=()
 glob="bench_micro_*"
 if [[ $smoke -eq 1 ]]; then
@@ -58,14 +46,6 @@ for bin in "$build_dir"/bench/$glob; do
   [[ -x "$bin" && ! -d "$bin" ]] || continue
   name="$(basename "$bin")"
   out="BENCH_${name#bench_}.json"
-  if [[ $smoke -eq 1 && "$name" == "bench_micro_nn" ]]; then
-    # Smoke covers both compute kernels: a quick scalar-fallback pass
-    # (the sanitizer-build configuration) to a side file, then the
-    # default microkernel pass, which is what the perf gate reads.
-    echo "== $name [SAFECROSS_GEMM_KERNEL=scalar] -> BENCH_micro_nn_scalar.json"
-    SAFECROSS_GEMM_KERNEL=scalar "$bin" --benchmark_out=BENCH_micro_nn_scalar.json \
-      --benchmark_out_format=json "${extra_args[@]}"
-  fi
   echo "== $name -> $out"
   "$bin" --benchmark_out="$out" --benchmark_out_format=json "${extra_args[@]}"
   ran=$((ran + 1))

@@ -79,17 +79,18 @@ std::vector<dataset::Weather> ModelStore::warm_manifest(std::size_t max_models) 
 namespace {
 
 /// Structural + integrity validation before any tensor data is parsed:
-/// the file must exist, be non-empty, start with the checkpoint magic,
-/// and — when it carries the ModelStore footer — its CRC32 must cover
-/// every byte before the footer. Footer-less legacy files pass on the
-/// structural checks alone. Returns an empty string when the file is
-/// acceptable.
+/// the file must exist, start with the checkpoint magic and end with the
+/// ModelStore footer, whose CRC32 must cover every byte before it.
+/// Returns an empty string when the file is acceptable.
 std::string validate_checkpoint(const std::filesystem::path& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   if (ec) return "cannot stat checkpoint: " + ec.message();
-  // Smallest well-formed file: magic + count for params and buffers blocks.
-  constexpr std::uintmax_t kMinBytes = 2 * (sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  // Smallest well-formed file: magic + count for params and buffers
+  // blocks, then the footer.
+  constexpr std::size_t kFooterBytes = 2 * sizeof(std::uint32_t);
+  constexpr std::uintmax_t kMinBytes =
+      2 * (sizeof(std::uint32_t) + sizeof(std::uint64_t)) + kFooterBytes;
   if (size == 0) return "checkpoint is empty (0 bytes)";
   if (size < kMinBytes) return "checkpoint truncated (" + std::to_string(size) + " bytes)";
   std::string bytes;
@@ -98,22 +99,17 @@ std::string validate_checkpoint(const std::filesystem::path& path) {
   } catch (const std::exception&) {
     return "cannot open checkpoint";
   }
-  if (bytes.size() < sizeof(std::uint32_t)) return "cannot read checkpoint header";
+  if (bytes.size() < kMinBytes) return "cannot read checkpoint";
   std::uint32_t magic = 0;
   std::memcpy(&magic, bytes.data(), sizeof(magic));
   if (magic != nn::kCheckpointMagic) return "bad checkpoint magic";
-  constexpr std::size_t kFooterBytes = 2 * sizeof(std::uint32_t);
-  if (bytes.size() >= kMinBytes + kFooterBytes) {
-    std::uint32_t footer_magic = 0;
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&footer_magic, bytes.data() + bytes.size() - kFooterBytes,
-                sizeof(footer_magic));
-    std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc),
-                sizeof(stored_crc));
-    if (footer_magic == ModelStore::kFooterMagic &&
-        common::crc32(bytes.data(), bytes.size() - kFooterBytes) != stored_crc) {
-      return "checkpoint checksum mismatch";
-    }
+  std::uint32_t footer_magic = 0;
+  std::uint32_t stored_crc = 0;
+  std::memcpy(&footer_magic, bytes.data() + bytes.size() - kFooterBytes, sizeof(footer_magic));
+  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc), sizeof(stored_crc));
+  if (footer_magic != ModelStore::kFooterMagic) return "missing checkpoint footer";
+  if (common::crc32(bytes.data(), bytes.size() - kFooterBytes) != stored_crc) {
+    return "checkpoint checksum mismatch";
   }
   return {};
 }

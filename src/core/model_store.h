@@ -25,8 +25,8 @@ class ModelStore {
   /// [u32 kFooterMagic][u32 crc32 of every preceding byte]. Validation
   /// verifies the CRC before any tensor data is parsed, so a mid-file
   /// bit flip (which keeps the leading magic intact) is caught instead of
-  /// silently deserializing garbage weights. Footer-less files written by
-  /// older builds are still accepted (magic/size checks only).
+  /// silently deserializing garbage weights. A file without the footer
+  /// is rejected.
   static constexpr std::uint32_t kFooterMagic = 0x5AFEF007u;
 
   explicit ModelStore(std::filesystem::path directory);

@@ -350,15 +350,7 @@ void FleetController::run_wave(std::vector<Launched>& wave, std::size_t wave_no)
       if (hb) {
         l.saw_beat = true;
         if (l.suspicion) l.suspicion->on_beat(now);
-        const bool depth_hot = cfg_.queue_depth_watermark > 0 &&
-                               hb->queue_depth >= cfg_.queue_depth_watermark;
-        const bool latency_hot = cfg_.latency_watermark_ms > 0.0 &&
-                                 hb->latency_watermark_ms > cfg_.latency_watermark_ms;
-        if (depth_hot || latency_hot) {
-          l.monitor->frame_degraded();
-        } else {
-          l.monitor->frame_ok();
-        }
+        l.monitor->frame_ok();
 
         // Gray-failure drain trigger: a shard whose latency watermark
         // stays over the drain mark is slow-but-alive — hand its streams

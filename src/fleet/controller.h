@@ -119,8 +119,6 @@ struct FleetConfig {
   runtime::HealthConfig shard_health{.degraded_after_missing = 3,
                                      .failsafe_after_missing = 10,
                                      .recover_after_healthy = 5};
-  std::size_t queue_depth_watermark = 0;  // beats at/above → frame_degraded; 0 off
-  double latency_watermark_ms = 0.0;      // beats above → frame_degraded; 0 off
 
   DetectorKind detector = DetectorKind::HardThreshold;
   runtime::SuspicionConfig suspicion;  // used when detector == Suspicion

@@ -13,80 +13,6 @@ namespace safecross::nn {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar fallback: the pre-microkernel implementation, kept verbatim as
-// the portable path for sanitizer builds and as the parity oracle the
-// tests compare the packed kernel against.
-
-// Contiguous dot product with a 16-lane accumulator bank so the float
-// reduction vectorizes (SLP) without -ffast-math reassociation.
-float dot16(const float* a, const float* b, int k) {
-  constexpr int kLanes = 16;
-  float acc[kLanes] = {};
-  int kk = 0;
-  for (; kk + kLanes <= k; kk += kLanes) {
-    for (int u = 0; u < kLanes; ++u) acc[u] += a[kk + u] * b[kk + u];
-  }
-  float s = 0.0f;
-  for (int u = 0; u < kLanes; ++u) s += acc[u];
-  for (; kk < k; ++kk) s += a[kk] * b[kk];
-  return s;
-}
-
-// One m-tile x n-tile block of C. The inner loops are laid out per
-// transpose case so the innermost axis is always contiguous in memory:
-// axpy over C rows for kNo B (k in cache-resident slabs so the touched
-// B rows stay hot), dot products over full rows for kTrans B.
-void scalar_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, int k, float alpha,
-                 const float* a, int lda, const float* b, int ldb, float beta, float* c, int ldc) {
-  for (int i = i0; i < i1; ++i) {
-    float* crow = c + static_cast<std::size_t>(i) * ldc;
-    if (beta == 0.0f) {
-      std::fill(crow + j0, crow + j1, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int j = j0; j < j1; ++j) crow[j] *= beta;
-    }
-  }
-
-  if (trans_b == Trans::kNo) {
-    // C[i, j0:j1] += alpha * op(A)[i, kk] * B[kk, j0:j1] — axpy over the
-    // contiguous C row, vectorizable.
-    for (int kc = 0; kc < k; kc += detail::kKc) {
-      const int kend = std::min(k, kc + detail::kKc);
-      for (int i = i0; i < i1; ++i) {
-        float* crow = c + static_cast<std::size_t>(i) * ldc;
-        for (int kk = kc; kk < kend; ++kk) {
-          const float av =
-              alpha * (trans_a == Trans::kNo ? a[static_cast<std::size_t>(i) * lda + kk]
-                                             : a[static_cast<std::size_t>(kk) * lda + i]);
-          const float* brow = b + static_cast<std::size_t>(kk) * ldb;
-          for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  } else if (trans_a == Trans::kNo) {
-    // op(B) = B^T: C[i, j] += alpha * dot(A[i, :], B[j, :]).
-    for (int i = i0; i < i1; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * ldc;
-      const float* arow = a + static_cast<std::size_t>(i) * lda;
-      for (int j = j0; j < j1; ++j) {
-        crow[j] += alpha * dot16(arow, b + static_cast<std::size_t>(j) * ldb, k);
-      }
-    }
-  } else {
-    // A^T * B^T: strided A reads; rare (no hot path uses it).
-    for (int i = i0; i < i1; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * ldc;
-      for (int j = j0; j < j1; ++j) {
-        const float* brow = b + static_cast<std::size_t>(j) * ldb;
-        float s = 0.0f;
-        for (int kk = 0; kk < k; ++kk) s += a[static_cast<std::size_t>(kk) * lda + i] * brow[kk];
-        crow[j] += alpha * s;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Packed path: one (mc x nc) macro-tile of C, k walked in kKc slabs.
 // Both operand panels are packed into this worker's thread-local arena
 // (zero allocation at steady state) so the microkernel streams aligned,
@@ -145,20 +71,6 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
   }
 }
 
-// One C macro-tile [i0, i1) x [j0, j1) through the selected kernel.
-void run_tile(GemmKernel kernel, Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1,
-              int k, float alpha, const float* a, int lda, const float* b, int ldb, float beta,
-              float* c, int ldc) {
-  switch (kernel) {
-    case GemmKernel::kScalar:
-      scalar_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
-      break;
-    default:
-      packed_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
-      break;
-  }
-}
-
 // Shared argument checks and degenerate shapes. Returns true when C is
 // already final (empty, or k == 0 so only the beta scaling applies).
 bool degenerate(int m, int n, int k, float beta, float* c, int ldc) {
@@ -179,9 +91,8 @@ bool degenerate(int m, int n, int k, float beta, float* c, int ldc) {
 }  // namespace
 
 void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const float* a, int lda,
-           const float* b, int ldb, float beta, float* c, int ldc, GemmKernel kernel) {
+           const float* b, int ldb, float beta, float* c, int ldc) {
   if (degenerate(m, n, k, beta, c, ldc)) return;
-  const GemmKernel resolved = resolve_gemm_kernel(kernel);
 
   // Tile C in 2-D; start from cache-friendly macro-tiles and shrink until
   // there is enough fan-out for the pool, down to one microkernel block.
@@ -189,21 +100,18 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
   // huge n) fan out along whichever axis has room. k is never split, so
   // each C element's summation order — and thus the result bit pattern —
   // is independent of the worker count and tiling decisions.
-  const bool scalar = resolved == GemmKernel::kScalar;
-  const int min_tm = scalar ? 8 : detail::kMr;
-  const int min_tn = scalar ? 32 : detail::kNr;
-  int tm = std::min(m, scalar ? 64 : detail::kMc);
-  int tn = std::min(n, scalar ? 256 : detail::kNc);
+  int tm = std::min(m, detail::kMc);
+  int tn = std::min(n, detail::kNc);
   const std::size_t workers = ThreadPool::global().size();
   auto tiles = [&] {
     return static_cast<std::size_t>((m + tm - 1) / tm) *
            static_cast<std::size_t>((n + tn - 1) / tn);
   };
-  while (tiles() < 2 * workers && (tm > min_tm || tn > min_tn)) {
-    if (tn > min_tn) {
-      tn = std::max(min_tn, tn / 2);
+  while (tiles() < 2 * workers && (tm > detail::kMr || tn > detail::kNr)) {
+    if (tn > detail::kNr) {
+      tn = std::max(detail::kNr, tn / 2);
     } else {
-      tm = std::max(min_tm, tm / 2);
+      tm = std::max(detail::kMr, tm / 2);
     }
   }
 
@@ -213,22 +121,17 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
     const int tj = static_cast<int>(tile) % tiles_n;
     const int i0 = ti * tm, i1 = std::min(m, i0 + tm);
     const int j0 = tj * tn, j1 = std::min(n, j0 + tn);
-    run_tile(resolved, trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    packed_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
   });
 }
 
 void sgemm_serial(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const float* a,
-                  int lda, const float* b, int ldb, float beta, float* c, int ldc,
-                  GemmKernel kernel) {
+                  int lda, const float* b, int ldb, float beta, float* c, int ldc) {
   if (degenerate(m, n, k, beta, c, ldc)) return;
-  const GemmKernel resolved = resolve_gemm_kernel(kernel);
-  const bool scalar = resolved == GemmKernel::kScalar;
-  const int tm = scalar ? 64 : detail::kMc;
-  const int tn = scalar ? 256 : detail::kNc;
-  for (int i0 = 0; i0 < m; i0 += tm) {
-    for (int j0 = 0; j0 < n; j0 += tn) {
-      run_tile(resolved, trans_a, trans_b, i0, std::min(m, i0 + tm), j0, std::min(n, j0 + tn), k,
-               alpha, a, lda, b, ldb, beta, c, ldc);
+  for (int i0 = 0; i0 < m; i0 += detail::kMc) {
+    for (int j0 = 0; j0 < n; j0 += detail::kNc) {
+      packed_tile(trans_a, trans_b, i0, std::min(m, i0 + detail::kMc), j0,
+                  std::min(n, j0 + detail::kNc), k, alpha, a, lda, b, ldb, beta, c, ldc);
     }
   }
 }

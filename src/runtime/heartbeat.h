@@ -5,10 +5,9 @@
 // while its serving run is on-CPU; the fleet controller drains every
 // shard's channel on its own watch cadence and feeds the result into a
 // per-shard HealthMonitor (fresh beat → frame_ok, silent interval →
-// frame_missing, watermark breach → frame_degraded). Death is therefore
-// *inferred from silence* through the existing Nominal→Degraded→FailSafe
-// state machine, not signalled — a crashed shard cannot be relied on to
-// say goodbye.
+// frame_missing). Death is therefore *inferred from silence* through the
+// existing Nominal→Degraded→FailSafe state machine, not signalled — a
+// crashed shard cannot be relied on to say goodbye.
 //
 // Both directions are wait-free with respect to the other side:
 //   * publish() uses BoundedQueue::try_push and, when the controller has

@@ -145,19 +145,21 @@ std::uint64_t SnapshotStore::write(const std::string& payload,
   return gen;
 }
 
-SnapshotStore::Loaded SnapshotStore::load_newest_valid(const std::filesystem::path& dir) {
+SnapshotStore::Loaded SnapshotStore::load_newest_valid(const std::filesystem::path& dir,
+                                                       const PayloadCheck& check) {
   // A writer may prune every generation one walk listed before the walk
   // reads them. A prune only ever follows a newer publish, so a fresh
   // listing finds that one: walk again (bounded) while files vanish.
   constexpr int kMaxWalks = 8;
   for (int walk = 1;; ++walk) {
     bool vanished = false;
-    Loaded out = walk_newest_valid(dir, vanished);
+    Loaded out = walk_newest_valid(dir, check, vanished);
     if (out.found || !vanished || walk == kMaxWalks) return out;
   }
 }
 
 SnapshotStore::Loaded SnapshotStore::walk_newest_valid(const std::filesystem::path& dir,
+                                                       const PayloadCheck& check,
                                                        bool& vanished) {
   Loaded out;
   std::error_code ec;
@@ -207,6 +209,13 @@ SnapshotStore::Loaded SnapshotStore::walk_newest_valid(const std::filesystem::pa
       if (!r.at_end()) {
         out.rejected.push_back(name + ": trailing bytes inside frame");
         continue;
+      }
+      if (check) {
+        const std::string refused = check(payload);
+        if (!refused.empty()) {
+          out.rejected.push_back(name + ": payload: " + refused);
+          continue;
+        }
       }
       out.found = true;
       out.generation = gen;

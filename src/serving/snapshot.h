@@ -15,9 +15,10 @@
 // kill at any instant therefore leaves either (a) the previous good
 // generations untouched plus an ignorable .tmp, or (b) those plus one
 // complete new generation. load_newest_valid() walks generations newest
-// to oldest, CRC-checking each, and returns the first intact one — a
-// corrupt or torn newest snapshot falls back to the previous good
-// generation with a structured list of what was rejected and why.
+// to oldest, CRC-checking each (and, given a payload check, decoding
+// it), and returns the first intact one — a corrupt, torn or
+// undecodable newest snapshot falls back to the previous good generation
+// with a structured list of what was rejected and why.
 //
 // Chaos hooks: BeforeSnapshotWrite / MidSnapshotWrite (flushes a genuine
 // half-written temp file, then dies) / BeforeSnapshotRename /
@@ -25,6 +26,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,9 +65,15 @@ class SnapshotStore {
     std::vector<std::string> rejected;
   };
 
-  /// Newest intact generation, skipping (and recording) corrupt ones.
-  /// Never throws on file *content*; missing directory → not found.
-  static Loaded load_newest_valid(const std::filesystem::path& dir);
+  /// Judges a frame-valid payload: "" accepts it, anything else is the
+  /// reason it is refused (recorded as "file: payload: <reason>").
+  using PayloadCheck = std::function<std::string(const std::string& payload)>;
+
+  /// Newest intact generation, skipping (and recording) corrupt ones and
+  /// ones `check` refuses. Never throws on file *content* (a throw from
+  /// `check` propagates); missing directory → not found.
+  static Loaded load_newest_valid(const std::filesystem::path& dir,
+                                  const PayloadCheck& check = {});
 
   static std::filesystem::path generation_path(const std::filesystem::path& dir,
                                                std::uint64_t generation);
@@ -73,7 +81,8 @@ class SnapshotStore {
  private:
   /// One newest-first pass over the listed generations; sets `vanished`
   /// when a listed generation was gone by the time it was read.
-  static Loaded walk_newest_valid(const std::filesystem::path& dir, bool& vanished);
+  static Loaded walk_newest_valid(const std::filesystem::path& dir, const PayloadCheck& check,
+                                  bool& vanished);
 
   std::filesystem::path dir_;
   std::size_t keep_;

@@ -18,6 +18,13 @@ namespace {
 
 constexpr const char* kJournalFile = "journal.wal";
 
+// How long the batcher blocks on one queue when nothing arrived and
+// nothing fired (never past the oldest staged window's deadline).
+constexpr double kPopTimeoutMs = 1.0;
+
+// Seed of the producer supervisor's restart-backoff jitter.
+constexpr std::uint64_t kSupervisorSeed = 0x5EB7E55u;
+
 std::chrono::milliseconds to_ms(double ms) {
   if (ms < 0.0) ms = 0.0;
   return std::chrono::milliseconds(static_cast<long long>(ms));
@@ -51,15 +58,9 @@ StreamServer::StreamServer(core::SafeCross& engine, StreamServerConfig config)
     throw std::invalid_argument(
         "StreamServer: durability requires shed_on_overload = false");
   }
-  streams_.reserve(config_.streams.size());
-  for (const StreamConfig& sc : config_.streams) {
-    streams_.push_back(std::make_unique<StreamContext>(sc));
-    streams_.back()->set_record_trace(config_.record_traces);
-  }
+  reset_snapshot_state();
   const std::size_t k = streams_.size();
   crash_pos_.assign(k, 0);
-  down_.assign(k, 0);
-  detached_.assign(k, 0);
   shed_.assign(k, 0);
   last_window_weather_.reserve(k);
   for (const StreamConfig& sc : config_.streams) last_window_weather_.push_back(sc.weather);
@@ -183,9 +184,29 @@ std::string StreamServer::snapshot_payload() const {
   return w.take();
 }
 
-void StreamServer::load_snapshot_payload(const std::string& payload) {
-  common::StateReader r(payload);
-  persist_snapshot(*this, r);
+void StreamServer::reset_snapshot_state() {
+  streams_.clear();
+  streams_.reserve(config_.streams.size());
+  for (const StreamConfig& sc : config_.streams) {
+    streams_.push_back(std::make_unique<StreamContext>(sc));
+    streams_.back()->set_record_trace(config_.record_traces);
+  }
+  windows_batched_ = 0;
+  down_.assign(streams_.size(), 0);
+  detached_.assign(streams_.size(), 0);
+}
+
+std::string StreamServer::load_snapshot_payload(const std::string& payload) {
+  try {
+    common::StateReader r(payload);
+    persist_snapshot(*this, r);
+    return {};
+  } catch (const common::StateError& e) {
+    // The failed load overwrote a prefix of the state; start the next
+    // attempt from the configured one.
+    reset_snapshot_state();
+    return e.what();
+  }
 }
 
 void StreamServer::prepare_durability() {
@@ -326,11 +347,13 @@ RecoveryReport StreamServer::recover() {
   report.journal_records = replay.records.size();
   report.journal_bytes_dropped = replay.file_bytes - replay.valid_bytes;
 
-  // 2. Newest intact snapshot; corrupt generations fall back with reasons.
-  SnapshotStore::Loaded snap = SnapshotStore::load_newest_valid(dir);
+  // 2. Newest snapshot that is intact and decodes; corrupt or undecodable
+  // generations fall back with reasons. Decoding throws only on a config
+  // mismatch.
+  SnapshotStore::Loaded snap = SnapshotStore::load_newest_valid(
+      dir, [this](const std::string& payload) { return load_snapshot_payload(payload); });
   report.snapshots_rejected = snap.rejected;
   if (snap.found) {
-    load_snapshot_payload(snap.payload);  // throws only on config mismatch
     report.recovered_from_snapshot = true;
     report.snapshot_generation = snap.generation;
   }
@@ -955,7 +978,7 @@ void StreamServer::run() {
         config_.queue_capacity));
   }
 
-  runtime::Supervisor supervisor(config_.backoff, config_.supervisor_seed);
+  runtime::Supervisor supervisor(config_.backoff, kSupervisorSeed);
   for (std::size_t i = 0; i < k; ++i) {
     runtime::BoundedQueue<ReadyWindow>& q = *queues[i];
     supervisor.add_stage(
@@ -1042,7 +1065,7 @@ void StreamServer::run() {
       if (!progressed) {
         // Nothing arrived and nothing fired: block briefly on one queue,
         // but never past the oldest staged window's batch deadline.
-        double wait = config_.pop_timeout_ms;
+        double wait = kPopTimeoutMs;
         const double deadline = batcher.ms_until_deadline(Clock::now());
         if (deadline < wait) wait = deadline;
         if (std::optional<ReadyWindow> w = queues[rr]->pop(to_ms(wait))) {

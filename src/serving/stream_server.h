@@ -166,7 +166,6 @@ struct StreamServerConfig {
   BatcherConfig batcher;         // batcher.max_batch == 0 → streams.size()
   std::size_t queue_capacity = 16;  // per-stream ready-window queue depth
   double push_timeout_ms = 250.0;   // producer backpressure budget
-  double pop_timeout_ms = 1.0;      // batcher idle-wait quantum
   // Past the push timeout: true sheds the oldest queued window (live
   // serving — freshest advice wins), false keeps pushing (pure
   // backpressure; parity runs lose nothing).
@@ -175,7 +174,6 @@ struct StreamServerConfig {
   // shedding/starvation tests and the bench. 0 off.
   double decide_delay_ms = 0.0;
   runtime::BackoffPolicy backoff;      // producer crash-restart policy
-  std::uint64_t supervisor_seed = 0x5EB7E55u;
   bool record_traces = false;          // keep per-seq verdict traces
   DurabilityConfig durability;         // checkpoint/journal layer (off by default)
   /// Serving-path switch realization. Batched run() only —
@@ -438,7 +436,13 @@ class StreamServer {
   template <class Self, class A>
   static void persist_snapshot(Self& self, A& a);
   std::string snapshot_payload() const;
-  void load_snapshot_payload(const std::string& payload);
+  /// Decode a snapshot payload into this server. Returns "" on success;
+  /// on a payload that does not decode, returns why and leaves the state
+  /// reset_snapshot_state() builds. A config mismatch throws.
+  std::string load_snapshot_payload(const std::string& payload);
+  /// The state a snapshot restores, as the constructor builds it from
+  /// config: fresh streams, no windows batched, none down or detached.
+  void reset_snapshot_state();
   /// Serialize + atomically publish one snapshot generation. Caller must
   /// be at a quiescent point (every produced window applied).
   void write_snapshot_now();

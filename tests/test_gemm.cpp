@@ -1,13 +1,12 @@
-// Tiled SGEMM vs a naive reference, across kernels (micro / scalar),
-// transpose modes, alpha/beta combinations, strided leading dimensions,
-// and shapes straddling the tile and microkernel boundaries (6x16
-// register block, 96x512 macro-tiles, 256-wide k slabs).
+// Tiled SGEMM vs a naive reference, across transpose modes, alpha/beta
+// combinations, strided leading dimensions, and shapes straddling the
+// tile and microkernel boundaries (6x16 register block, 96x512
+// macro-tiles, 256-wide k slabs).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -45,8 +44,7 @@ std::vector<float> random_matrix(int rows, int cols, std::uint64_t seed) {
 }
 
 void expect_sgemm_matches(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha,
-                          float beta, std::uint64_t seed,
-                          GemmKernel kernel = GemmKernel::kMicro) {
+                          float beta, std::uint64_t seed) {
   const int a_rows = trans_a == Trans::kNo ? m : k;
   const int a_cols = trans_a == Trans::kNo ? k : m;
   const int b_rows = trans_b == Trans::kNo ? k : n;
@@ -56,14 +54,12 @@ void expect_sgemm_matches(Trans trans_a, Trans trans_b, int m, int n, int k, flo
   auto c = random_matrix(m, n, seed ^ 0xCAFEu);
   const auto want = reference_gemm(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
 
-  sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), a_cols, b.data(), b_cols, beta, c.data(), n,
-        kernel);
+  sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), a_cols, b.data(), b_cols, beta, c.data(), n);
 
   // k multiplications of values in [-1, 1]; scale the tolerance with k.
   const float tol = 1e-5f * static_cast<float>(std::max(k, 1));
   for (int i = 0; i < m * n; ++i) {
-    ASSERT_NEAR(c[i], want[i], tol) << "kernel=" << static_cast<int>(kernel)
-                                    << " trans_a=" << static_cast<int>(trans_a)
+    ASSERT_NEAR(c[i], want[i], tol) << "trans_a=" << static_cast<int>(trans_a)
                                     << " trans_b=" << static_cast<int>(trans_b) << " m=" << m
                                     << " n=" << n << " k=" << k << " at " << i;
   }
@@ -74,7 +70,7 @@ void expect_sgemm_matches(Trans trans_a, Trans trans_b, int m, int n, int k, flo
 // columns of A and B are NaN (a read from them poisons the result) and
 // the slack of C is a sentinel the call must leave untouched.
 void expect_sgemm_matches_strided(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha,
-                                  float beta, std::uint64_t seed, GemmKernel kernel) {
+                                  float beta, std::uint64_t seed) {
   const int a_rows = trans_a == Trans::kNo ? m : k;
   const int a_cols = trans_a == Trans::kNo ? k : m;
   const int b_rows = trans_b == Trans::kNo ? k : n;
@@ -101,19 +97,17 @@ void expect_sgemm_matches_strided(Trans trans_a, Trans trans_b, int m, int n, in
   const auto b = embed(b_dense, b_rows, b_cols, ldb, kNaN);
   auto c = embed(c_dense, m, n, ldc, kSentinel);
 
-  sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta, c.data(), ldc,
-        kernel);
+  sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta, c.data(), ldc);
 
   const float tol = 1e-5f * static_cast<float>(std::max(k, 1));
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       ASSERT_NEAR(c[static_cast<std::size_t>(i) * ldc + j], want[i * n + j], tol)
-          << "kernel=" << static_cast<int>(kernel) << " m=" << m << " n=" << n << " k=" << k
-          << " at (" << i << ", " << j << ")";
+          << "m=" << m << " n=" << n << " k=" << k << " at (" << i << ", " << j << ")";
     }
     for (int j = n; j < ldc; ++j) {
       ASSERT_EQ(c[static_cast<std::size_t>(i) * ldc + j], kSentinel)
-          << "kernel=" << static_cast<int>(kernel) << " wrote past row " << i;
+          << "wrote past row " << i;
     }
   }
 }
@@ -125,8 +119,9 @@ TEST(SGemm, TinyShapes) {
 }
 
 TEST(SGemm, TileBoundaryShapes) {
-  // The kernel tiles C in up-to-64-row x 256-column blocks and walks k in
-  // 256-wide slabs; probe one-below / exact / one-above each boundary.
+  // The kernel walks k in 256-wide slabs; probe one-below / exact /
+  // one-above it, and m, n around 64 and 256 (several register strips,
+  // each with a tail).
   for (const int m : {63, 64, 65}) {
     expect_sgemm_matches(Trans::kNo, Trans::kNo, m, 19, 11, 1.0f, 0.0f, 10 + m);
   }
@@ -147,7 +142,7 @@ TEST(SGemm, TransposedA) {
 TEST(SGemm, TransposedB) {
   expect_sgemm_matches(Trans::kNo, Trans::kTrans, 3, 5, 7, 1.0f, 0.0f, 50);
   expect_sgemm_matches(Trans::kNo, Trans::kTrans, 17, 65, 13, 1.0f, 0.0f, 51);
-  // k straddling the 16-lane dot-product unroll.
+  // k straddling the 16-lane vector width.
   for (const int k : {15, 16, 17, 31, 33}) {
     expect_sgemm_matches(Trans::kNo, Trans::kTrans, 4, 6, k, 1.0f, 0.0f, 52 + k);
   }
@@ -181,26 +176,23 @@ TEST(SGemm, ConvShapedProblem) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel sweep: every compute path against the reference across edge
+// Kernel sweep: the packed microkernel against the reference across edge
 // shapes, transpose combos, and alpha/beta values.
 
-const GemmKernel kAllKernels[] = {GemmKernel::kMicro, GemmKernel::kScalar};
 const Trans kTransModes[] = {Trans::kNo, Trans::kTrans};
 
 TEST(SGemmKernels, MicrokernelTailShapes) {
   // m around the 6-row register block, n around the 16-lane vector width,
   // k around the 256-wide slab — one below, exact, one above, plus 1.
   std::uint64_t seed = 1000;
-  for (const GemmKernel kernel : kAllKernels) {
-    for (const int m : {1, 5, 6, 7, 13}) {
-      expect_sgemm_matches(Trans::kNo, Trans::kNo, m, 33, 20, 1.0f, 0.0f, ++seed, kernel);
-    }
-    for (const int n : {1, 15, 16, 17, 47}) {
-      expect_sgemm_matches(Trans::kNo, Trans::kNo, 9, n, 20, 1.0f, 0.0f, ++seed, kernel);
-    }
-    for (const int k : {1, 255, 256, 257}) {
-      expect_sgemm_matches(Trans::kNo, Trans::kNo, 7, 18, k, 1.0f, 0.0f, ++seed, kernel);
-    }
+  for (const int m : {1, 5, 6, 7, 13}) {
+    expect_sgemm_matches(Trans::kNo, Trans::kNo, m, 33, 20, 1.0f, 0.0f, ++seed);
+  }
+  for (const int n : {1, 15, 16, 17, 47}) {
+    expect_sgemm_matches(Trans::kNo, Trans::kNo, 9, n, 20, 1.0f, 0.0f, ++seed);
+  }
+  for (const int k : {1, 255, 256, 257}) {
+    expect_sgemm_matches(Trans::kNo, Trans::kNo, 7, 18, k, 1.0f, 0.0f, ++seed);
   }
 }
 
@@ -208,26 +200,20 @@ TEST(SGemmKernels, EmptyDimensionsAreNoOps) {
   // m == 0 / n == 0: nothing to compute, C untouched even with beta != 1.
   auto c = random_matrix(4, 5, 1100);
   const auto orig = c;
-  for (const GemmKernel kernel : kAllKernels) {
-    sgemm(Trans::kNo, Trans::kNo, 0, 5, 3, 1.0f, nullptr, 3, nullptr, 5, 0.5f, c.data(), 5,
-          kernel);
-    sgemm(Trans::kNo, Trans::kNo, 4, 0, 3, 1.0f, nullptr, 3, nullptr, 1, 0.5f, c.data(), 5,
-          kernel);
-    for (int i = 0; i < 20; ++i) ASSERT_EQ(c[i], orig[i]);
-  }
+  sgemm(Trans::kNo, Trans::kNo, 0, 5, 3, 1.0f, nullptr, 3, nullptr, 5, 0.5f, c.data(), 5);
+  sgemm(Trans::kNo, Trans::kNo, 4, 0, 3, 1.0f, nullptr, 3, nullptr, 1, 0.5f, c.data(), 5);
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(c[i], orig[i]);
 }
 
 TEST(SGemmKernels, AllTransposeCombosTimesAlphaBeta) {
-  // Full cross: {N, T} x {N, T} x alpha, beta in {0, 1, 2.5}, per kernel,
-  // on a shape with tails on every axis.
+  // Full cross: {N, T} x {N, T} x alpha, beta in {0, 1, 2.5}, on a shape
+  // with tails on every axis.
   std::uint64_t seed = 1200;
-  for (const GemmKernel kernel : kAllKernels) {
-    for (const Trans ta : kTransModes) {
-      for (const Trans tb : kTransModes) {
-        for (const float alpha : {0.0f, 1.0f, 2.5f}) {
-          for (const float beta : {0.0f, 1.0f, 2.5f}) {
-            expect_sgemm_matches(ta, tb, 13, 21, 19, alpha, beta, ++seed, kernel);
-          }
+  for (const Trans ta : kTransModes) {
+    for (const Trans tb : kTransModes) {
+      for (const float alpha : {0.0f, 1.0f, 2.5f}) {
+        for (const float beta : {0.0f, 1.0f, 2.5f}) {
+          expect_sgemm_matches(ta, tb, 13, 21, 19, alpha, beta, ++seed);
         }
       }
     }
@@ -238,54 +224,14 @@ TEST(SGemmKernels, StridedLeadingDimensions) {
   // lda/ldb/ldc wider than the logical matrices: NaN slack in A/B must
   // never be read, sentinel slack in C must never be written.
   std::uint64_t seed = 1300;
-  for (const GemmKernel kernel : kAllKernels) {
-    for (const Trans ta : kTransModes) {
-      for (const Trans tb : kTransModes) {
-        expect_sgemm_matches_strided(ta, tb, 13, 37, 29, 1.0f, 0.5f, ++seed, kernel);
-      }
+  for (const Trans ta : kTransModes) {
+    for (const Trans tb : kTransModes) {
+      expect_sgemm_matches_strided(ta, tb, 13, 37, 29, 1.0f, 0.5f, ++seed);
     }
-    // Skinny-m untransposed-B: the B-direct streaming path with a column
-    // tail, where full 16-wide strips read straight from the strided B.
-    expect_sgemm_matches_strided(Trans::kNo, Trans::kNo, 4, 53, 300, 1.0f, 0.0f, ++seed, kernel);
   }
-}
-
-TEST(SGemmKernels, MicroMatchesScalarClosely) {
-  // Micro vs scalar on the same inputs: both accumulate in fp32, so they
-  // agree to summation-order rounding (much tighter than the reference
-  // tolerance above).
-  const int m = 37, n = 65, k = 300;
-  const auto a = random_matrix(m, k, 1400);
-  const auto b = random_matrix(k, n, 1401);
-  auto c_micro = random_matrix(m, n, 1402);
-  auto c_scalar = c_micro;
-  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f, c_micro.data(), n,
-        GemmKernel::kMicro);
-  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f, c_scalar.data(), n,
-        GemmKernel::kScalar);
-  for (int i = 0; i < m * n; ++i) {
-    ASSERT_NEAR(c_micro[i], c_scalar[i], 1e-4f) << "at " << i;
-  }
-}
-
-TEST(SGemmKernels, ResolverReadsEnvAndRejectsUnknown) {
-  ASSERT_EQ(unsetenv("SAFECROSS_GEMM_KERNEL"), 0);
-  EXPECT_EQ(resolve_gemm_kernel(GemmKernel::kAuto), GemmKernel::kMicro);
-  ASSERT_EQ(setenv("SAFECROSS_GEMM_KERNEL", "scalar", 1), 0);
-  EXPECT_EQ(resolve_gemm_kernel(GemmKernel::kAuto), GemmKernel::kScalar);
-  // Explicit requests win over the environment.
-  EXPECT_EQ(resolve_gemm_kernel(GemmKernel::kMicro), GemmKernel::kMicro);
-  ASSERT_EQ(setenv("SAFECROSS_GEMM_KERNEL", "sclar", 1), 0);
-  EXPECT_THROW(resolve_gemm_kernel(GemmKernel::kAuto), std::invalid_argument);
-  // The retired reduced-precision kernel is an unknown value like any other.
-  ASSERT_EQ(setenv("SAFECROSS_GEMM_KERNEL", "fp16", 1), 0);
-  EXPECT_THROW(resolve_gemm_kernel(GemmKernel::kAuto), std::invalid_argument);
-  // The throw must reach callers through sgemm, not get swallowed.
-  std::vector<float> mat(4, 1.0f);
-  EXPECT_THROW(sgemm(Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, mat.data(), 2, mat.data(), 2, 0.0f,
-                     mat.data(), 2),
-               std::invalid_argument);
-  ASSERT_EQ(unsetenv("SAFECROSS_GEMM_KERNEL"), 0);
+  // Skinny-m untransposed-B: the B-direct streaming path with a column
+  // tail, where full 16-wide strips read straight from the strided B.
+  expect_sgemm_matches_strided(Trans::kNo, Trans::kNo, 4, 53, 300, 1.0f, 0.0f, ++seed);
 }
 
 TEST(SGemmKernels, ReentrantUnderParallelFor) {
@@ -301,11 +247,11 @@ TEST(SGemmKernels, ReentrantUnderParallelFor) {
     want[j].assign(static_cast<std::size_t>(m) * n, 0.0f);
     got[j].assign(static_cast<std::size_t>(m) * n, 0.0f);
     sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a[j].data(), k, b[j].data(), n, 0.0f,
-          want[j].data(), n, GemmKernel::kMicro);
+          want[j].data(), n);
   }
   ThreadPool::global().parallel_for(static_cast<std::size_t>(jobs), [&](std::size_t j) {
     sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a[j].data(), k, b[j].data(), n, 0.0f,
-          got[j].data(), n, GemmKernel::kMicro);
+          got[j].data(), n);
   });
   for (int j = 0; j < jobs; ++j) {
     for (int i = 0; i < m * n; ++i) {

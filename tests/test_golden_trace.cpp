@@ -10,9 +10,10 @@
 //     and one with a mid-run daytime→rain model switch).
 //
 // Snapshot format (tests/golden/*.txt): a `meta` line of integer
-// scorecard counters, then one `d` line per decision. Integer fields
-// (frame ordinals, truths, verdict classes, warn flags, gate sources)
-// compare exactly. prob_danger is stored at 4 decimals and compares with
+// scorecard counters (one `srcN` per decision source), then one `d` line
+// per decision. Integer fields (frame ordinals, truths, verdict classes,
+// warn flags, gate sources, model weather and switch epoch) compare
+// exactly. prob_danger is stored at 4 decimals and compares with
 // a 2e-3 tolerance: -ffp-contract/-march differences between the
 // committed build and CI legitimately perturb the last float ulps, and
 // the tolerance is far below anything that could flip a verdict (those
@@ -58,10 +59,9 @@ struct TraceLine {
   int source = 0;
   double prob = 0.0;
   // Model lineage (serving-path switching): which weather's model the
-  // decision wanted and the stream's switch epoch at capture. -1 = not
-  // recorded — the legacy snapshots predate lineage and stay byte-valid.
-  int weather = -1;
-  int epoch = -1;
+  // decision wanted and the stream's switch epoch at capture.
+  int weather = 0;
+  int epoch = 0;
 };
 
 struct GoldenTrace {
@@ -79,14 +79,8 @@ void write_golden(const std::string& path, const GoldenTrace& trace) {
   out << '\n';
   char buf[160];
   for (const TraceLine& l : trace.lines) {
-    if (l.weather >= 0) {
-      std::snprintf(buf, sizeof(buf), "d %d %zu %zu %d %d %d %d %.4f %d %d\n", l.stream,
-                    l.seq, l.frame, l.truth, l.pred, l.warn, l.source, l.prob, l.weather,
-                    l.epoch);
-    } else {
-      std::snprintf(buf, sizeof(buf), "d %d %zu %zu %d %d %d %d %.4f\n", l.stream, l.seq,
-                    l.frame, l.truth, l.pred, l.warn, l.source, l.prob);
-    }
+    std::snprintf(buf, sizeof(buf), "d %d %zu %zu %d %d %d %d %.4f %d %d\n", l.stream, l.seq,
+                  l.frame, l.truth, l.pred, l.warn, l.source, l.prob, l.weather, l.epoch);
     out << buf;
   }
 }
@@ -110,12 +104,9 @@ GoldenTrace read_golden(const std::string& path) {
       }
     } else if (tag == "d") {
       TraceLine l;
-      ss >> l.stream >> l.seq >> l.frame >> l.truth >> l.pred >> l.warn >> l.source >> l.prob;
-      // Optional trailing lineage columns (switch-storm snapshots only).
-      if (!(ss >> l.weather >> l.epoch)) {
-        l.weather = -1;
-        l.epoch = -1;
-      }
+      ss >> l.stream >> l.seq >> l.frame >> l.truth >> l.pred >> l.warn >> l.source >> l.prob >>
+          l.weather >> l.epoch;
+      EXPECT_TRUE(ss) << "malformed decision line in " << path << ": " << line;
       trace.lines.push_back(l);
     }
   }
@@ -172,21 +163,7 @@ std::unique_ptr<core::SafeCross> engine_with(const std::vector<dataset::Weather>
   return sc;
 }
 
-// The three legacy snapshots were cut when the DecisionSource enum held 6
-// entries. They keep comparing exactly those 6: FailSafeMiscalibrated was
-// appended later and can never fire without a recalibration loop, so
-// freezing the count keeps the committed traces byte-valid while the new
-// drift scenario pins all current sources.
-constexpr int kLegacyDecisionSources = 6;
-
-// The drift-recover trace was committed when the enum ended at
-// FailSafeMiscalibrated (7 sources). FleetDegraded was appended for the
-// fleet admission layer and can never fire in a single-server scenario,
-// so freezing at 7 keeps that trace byte-valid too.
-constexpr int kPreFleetDecisionSources = 7;
-
-void append_scorecard_meta(GoldenTrace& trace, const core::StreamScorecard& s,
-                           int sources = runtime::kDecisionSourceCount) {
+void append_scorecard_meta(GoldenTrace& trace, const core::StreamScorecard& s) {
   trace.meta.emplace_back("decisions", static_cast<long long>(s.decisions()));
   trace.meta.emplace_back("warnings", static_cast<long long>(s.warnings()));
   trace.meta.emplace_back("correct", static_cast<long long>(s.correct()));
@@ -195,10 +172,29 @@ void append_scorecard_meta(GoldenTrace& trace, const core::StreamScorecard& s,
   trace.meta.emplace_back("fail_safe", static_cast<long long>(s.fail_safe_decisions()));
   trace.meta.emplace_back("opportunities",
                           static_cast<long long>(s.decision_opportunities()));
-  for (int i = 0; i < sources; ++i) {
+  for (int i = 0; i < runtime::kDecisionSourceCount; ++i) {
     trace.meta.emplace_back(
         "src" + std::to_string(i),
         static_cast<long long>(s.fail_safe_by_source(static_cast<runtime::DecisionSource>(i))));
+  }
+}
+
+/// One `d` line per recorded decision of stream `stream`.
+void append_trace_lines(GoldenTrace& got, int stream,
+                        const std::vector<serving::DecisionRecord>& trace) {
+  for (std::size_t s = 0; s < trace.size(); ++s) {
+    TraceLine l;
+    l.stream = stream;
+    l.seq = s;
+    l.frame = trace[s].frame;
+    l.truth = trace[s].danger_truth ? 1 : 0;
+    l.pred = trace[s].predicted_class;
+    l.warn = trace[s].warn ? 1 : 0;
+    l.source = static_cast<int>(trace[s].source);
+    l.prob = trace[s].prob_danger;
+    l.weather = static_cast<int>(trace[s].model_weather);
+    l.epoch = static_cast<int>(trace[s].epoch);
+    got.lines.push_back(l);
   }
 }
 
@@ -225,21 +221,9 @@ TEST(GoldenTrace, MonitorUnderFaultsMatchesSnapshot) {
   server.run_sequential();
 
   GoldenTrace got;
-  const auto& trace = server.stream(0).trace();
-  for (std::size_t s = 0; s < trace.size(); ++s) {
-    TraceLine l;
-    l.stream = 0;
-    l.seq = s;
-    l.frame = trace[s].frame;
-    l.truth = trace[s].danger_truth ? 1 : 0;
-    l.pred = trace[s].predicted_class;
-    l.warn = trace[s].warn ? 1 : 0;
-    l.source = static_cast<int>(trace[s].source);
-    l.prob = trace[s].prob_danger;
-    got.lines.push_back(l);
-  }
+  append_trace_lines(got, 0, server.stream(0).trace());
   const core::StreamScorecard& scorecard = server.stream(0).scorecard();
-  append_scorecard_meta(got, scorecard, kLegacyDecisionSources);
+  append_scorecard_meta(got, scorecard);
   ASSERT_GT(got.lines.size(), 0u) << "the scenario produced no decisions to pin";
   EXPECT_GT(scorecard.fail_safe_decisions(), 0u)
       << "the fault plan should force some conservative gates";
@@ -285,20 +269,8 @@ TEST(GoldenTrace, MultiStreamServingMatchesSnapshot) {
 
   GoldenTrace got;
   for (std::size_t i = 0; i < server.stream_count(); ++i) {
-    const auto& trace = server.stream(i).trace();
-    for (std::size_t s = 0; s < trace.size(); ++s) {
-      TraceLine l;
-      l.stream = static_cast<int>(i);
-      l.seq = s;
-      l.frame = trace[s].frame;
-      l.truth = trace[s].danger_truth ? 1 : 0;
-      l.pred = trace[s].predicted_class;
-      l.warn = trace[s].warn ? 1 : 0;
-      l.source = static_cast<int>(trace[s].source);
-      l.prob = trace[s].prob_danger;
-      got.lines.push_back(l);
-    }
-    append_scorecard_meta(got, server.stream(i).scorecard(), kLegacyDecisionSources);
+    append_trace_lines(got, static_cast<int>(i), server.stream(i).trace());
+    append_scorecard_meta(got, server.stream(i).scorecard());
   }
   ASSERT_GT(got.lines.size(), 0u) << "the scenario produced no decisions to pin";
   std::size_t model_decisions = 0;
@@ -374,20 +346,8 @@ TEST(GoldenTrace, ServerKillRecoverMatchesSnapshot) {
       {"journal_torn_tail", report.journal_torn_tail ? 1 : 0},
   };
   for (std::size_t i = 0; i < server.stream_count(); ++i) {
-    const auto& trace = server.stream(i).trace();
-    for (std::size_t s = 0; s < trace.size(); ++s) {
-      TraceLine l;
-      l.stream = static_cast<int>(i);
-      l.seq = s;
-      l.frame = trace[s].frame;
-      l.truth = trace[s].danger_truth ? 1 : 0;
-      l.pred = trace[s].predicted_class;
-      l.warn = trace[s].warn ? 1 : 0;
-      l.source = static_cast<int>(trace[s].source);
-      l.prob = trace[s].prob_danger;
-      got.lines.push_back(l);
-    }
-    append_scorecard_meta(got, server.stream(i).scorecard(), kLegacyDecisionSources);
+    append_trace_lines(got, static_cast<int>(i), server.stream(i).trace());
+    append_scorecard_meta(got, server.stream(i).scorecard());
   }
   fs::remove_all(dir);
   ASSERT_GT(got.lines.size(), 0u) << "the scenario produced no decisions to pin";
@@ -400,8 +360,8 @@ TEST(GoldenTrace, ServerKillRecoverMatchesSnapshot) {
 // DecisionSource::FailSafeMiscalibrated), recalibrates on cadence, is
 // killed mid-journal-append during the drift window, recovers from the
 // damaged directory — replaying the journaled calibration lineage — and
-// finishes. Unlike the legacy snapshots this one pins ALL current
-// decision sources plus the recalibration counters.
+// finishes. Beyond the decision sources it pins the recalibration
+// counters.
 TEST(GoldenTrace, DriftRecoverMatchesSnapshot) {
   namespace fs = std::filesystem;
   auto sc = engine_with({dataset::Weather::Daytime});
@@ -466,20 +426,8 @@ TEST(GoldenTrace, DriftRecoverMatchesSnapshot) {
   got.meta.emplace_back("estimates_rejected",
                         static_cast<long long>(loop->estimates_rejected()));
   got.meta.emplace_back("checks_run", static_cast<long long>(loop->checks_run()));
-  const auto& trace = server.stream(0).trace();
-  for (std::size_t s = 0; s < trace.size(); ++s) {
-    TraceLine l;
-    l.stream = 0;
-    l.seq = s;
-    l.frame = trace[s].frame;
-    l.truth = trace[s].danger_truth ? 1 : 0;
-    l.pred = trace[s].predicted_class;
-    l.warn = trace[s].warn ? 1 : 0;
-    l.source = static_cast<int>(trace[s].source);
-    l.prob = trace[s].prob_danger;
-    got.lines.push_back(l);
-  }
-  append_scorecard_meta(got, server.stream(0).scorecard(), kPreFleetDecisionSources);
+  append_trace_lines(got, 0, server.stream(0).trace());
+  append_scorecard_meta(got, server.stream(0).scorecard());
   fs::remove_all(dir);
   ASSERT_GT(got.lines.size(), 0u) << "the scenario produced no decisions to pin";
   EXPECT_GT(loop->recalibrations(), 0u) << "drift never forced a recalibration";
@@ -566,21 +514,7 @@ TEST(GoldenTrace, SwitchStormRecoverMatchesSnapshot) {
 
   GoldenTrace got;
   for (std::size_t i = 0; i < server.stream_count(); ++i) {
-    const auto& trace = server.stream(i).trace();
-    for (std::size_t s = 0; s < trace.size(); ++s) {
-      TraceLine l;
-      l.stream = static_cast<int>(i);
-      l.seq = s;
-      l.frame = trace[s].frame;
-      l.truth = trace[s].danger_truth ? 1 : 0;
-      l.pred = trace[s].predicted_class;
-      l.warn = trace[s].warn ? 1 : 0;
-      l.source = static_cast<int>(trace[s].source);
-      l.prob = trace[s].prob_danger;
-      l.weather = static_cast<int>(trace[s].model_weather);
-      l.epoch = static_cast<int>(trace[s].epoch);
-      got.lines.push_back(l);
-    }
+    append_trace_lines(got, static_cast<int>(i), server.stream(i).trace());
     append_scorecard_meta(got, server.stream(i).scorecard());
   }
   fs::remove_all(dir);

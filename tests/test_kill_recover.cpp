@@ -17,6 +17,7 @@
 #include "serving/stream_server.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "common/rng.h"
 #include "common/state_io.h"
 #include "models/slowfast.h"
+#include "sim/intersection.h"
 
 namespace safecross::serving {
 namespace {
@@ -608,6 +610,57 @@ TEST(KillRecover, CorruptNewestSnapshotFallsBackToPreviousGeneration) {
   ASSERT_EQ(report.snapshots_rejected.size(), 1u);
   EXPECT_NE(report.snapshots_rejected[0].find(snaps.back().filename().string()),
             std::string::npos);
+  expect_servers_agree(*recovered, reference);
+}
+
+// A CRC-valid generation whose payload does not decode is refused like a
+// checksum failure: recovery reports it and resumes from the previous
+// generation, decoding into state rebuilt from config.
+TEST(KillRecover, UndecodableNewestSnapshotFallsBackToPreviousGeneration) {
+  auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
+  constexpr std::uint64_t kBase = 87000;
+  StreamServerConfig reference_cfg = chaos_config(kBase, {}, nullptr);
+  reference_cfg.frames = 900;
+  StreamServer reference(*sc, reference_cfg);
+  reference.run_sequential();
+
+  ScratchDir scratch("undecodable_newest_snapshot");
+  StreamServerConfig cfg = chaos_config(kBase, scratch.path, nullptr);
+  cfg.frames = 900;
+  {
+    StreamServer first(*sc, cfg);
+    first.run_sequential();
+  }
+  const SnapshotStore::Loaded intact = SnapshotStore::load_newest_valid(scratch.path);
+  ASSERT_TRUE(intact.found);
+
+  // The payload opens with the fingerprint, the batched-window count, the
+  // stream count and two flags per stream; stream 0 then opens with its
+  // simulator: rng, clock, next id, vehicle count, and per vehicle its id
+  // followed by its route byte.
+  common::StateWriter rng;
+  Rng().save_state(rng);
+  const std::size_t count_at = 3 * 8 + 2 * cfg.streams.size() + rng.bytes().size() + 8 + 8;
+  std::string payload = intact.payload;
+  ASSERT_GT(payload.size(), count_at + 8 + 8);
+  std::uint64_t vehicles = 0;
+  std::memcpy(&vehicles, payload.data() + count_at, sizeof(vehicles));
+  ASSERT_GT(vehicles, 0u);
+  const std::size_t route_at = count_at + 8 + 8;
+  ASSERT_LT(static_cast<unsigned char>(payload[route_at]), sim::kNumRoutes);
+  payload[route_at] = static_cast<char>(200);
+  const std::uint64_t bad_generation =
+      SnapshotStore(scratch.path, cfg.durability.keep_snapshots).write(payload);
+
+  RecoveryReport report;
+  auto recovered = recover_and_finish(*sc, cfg, Mode::Sequential, &report);
+  EXPECT_TRUE(report.recovered_from_snapshot);
+  EXPECT_EQ(report.snapshot_generation, intact.generation);
+  ASSERT_EQ(report.snapshots_rejected.size(), 1u);
+  const std::string bad_name =
+      SnapshotStore::generation_path(scratch.path, bad_generation).filename().string();
+  EXPECT_EQ(report.snapshots_rejected[0].rfind(bad_name + ": payload: ", 0), 0u)
+      << report.snapshots_rejected[0];
   expect_servers_agree(*recovered, reference);
 }
 

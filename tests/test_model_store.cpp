@@ -235,6 +235,46 @@ TEST(ModelStore, MidFileBitFlipCaughtByChecksum) {
   EXPECT_FALSE(restored.has_model(dataset::Weather::Daytime));
 }
 
+// The footer is required: a damaged footer magic or a file cut just
+// before its footer must not switch the checksum off.
+TEST(ModelStore, DamagedOrMissingFooterIsRejected) {
+  dataset::BuildRequest req;
+  req.target_segments = 25;
+  req.max_sim_hours = 2.0;
+  req.seed = 98;
+  const auto day = dataset::build_dataset(req);
+  SafeCross sc(tiny_config());
+  sc.train_basic(ptrs(day.segments));
+
+  TempDir tmp;
+  ModelStore store(tmp.path);
+  store.save(sc);
+
+  const auto day_path = store.path_for(dataset::Weather::Daytime);
+  const auto size = fs::file_size(day_path);
+  // Rain: one byte of the footer magic flipped. Snow: exactly the 8
+  // footer bytes cut, leaving a well-formed footer-less checkpoint.
+  fs::copy_file(day_path, store.path_for(dataset::Weather::Rain));
+  common::flip_byte(store.path_for(dataset::Weather::Rain), size - 8);
+  fs::copy_file(day_path, store.path_for(dataset::Weather::Snow));
+  common::truncate_file(store.path_for(dataset::Weather::Snow), size - 8);
+
+  runtime::BackoffPolicy policy;
+  policy.initial_ms = 0.1;
+  policy.max_restarts = 0;
+  store.set_retry_policy(policy);
+
+  SafeCross restored(tiny_config());
+  const auto report = store.load_report(restored, tiny_config());
+  EXPECT_EQ(report.loaded, std::vector<dataset::Weather>{dataset::Weather::Daytime});
+  ASSERT_EQ(report.errors.size(), 2u);
+  for (const auto& err : report.errors) {
+    EXPECT_EQ(err.message, "missing checkpoint footer") << vision::weather_name(err.weather);
+  }
+  EXPECT_FALSE(restored.has_model(dataset::Weather::Rain));
+  EXPECT_FALSE(restored.has_model(dataset::Weather::Snow));
+}
+
 // A checkpoint that fails persistently is retried with bounded backoff
 // (a stat/open failure could be an NFS blip) and only then declared bad —
 // with the attempt count surfaced so operators can tell "file is corrupt"

@@ -18,7 +18,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/conv3d.h"
-#include "nn/gemm.h"
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -217,17 +216,24 @@ TEST(Conv3DTileParitySweep, CoversTheTilingCorners) {
   EXPECT_TRUE(nine);
 }
 
-// SlowFast logits for fixed weights and clips, CRC'd and compared with
-// values recorded before the conv forward was tiled. The bits depend on
-// the GEMM kernel and on whether the build contracts multiply-adds into
-// FMA, so one value is pinned per combination.
-TEST(Conv3DTileParitySweep, SlowFastOutputsMatchPinnedChecksum) {
-  const GemmKernel kernel = resolve_gemm_kernel(GemmKernel::kAuto);
+// Pinned output bits depend on whether the build contracts multiply-adds
+// into FMA, so each pin holds one value per build: {FMA, plain}. The FMA
+// values come from a -march=native build on an AVX-512 host.
+struct PinnedCrc {
+  std::uint32_t fma, plain;
+};
+
+std::uint32_t expected_crc(const PinnedCrc& pin) {
 #if defined(__FMA__)
-  constexpr bool kFma = true;
+  return pin.fma;
 #else
-  constexpr bool kFma = false;
+  return pin.plain;
 #endif
+}
+
+// SlowFast logits for fixed weights and clips, CRC'd and compared with
+// values recorded before the conv forward was tiled.
+TEST(Conv3DTileParitySweep, SlowFastOutputsMatchPinnedChecksum) {
   std::uint32_t crc = 0;
   for (const std::uint64_t init_seed : {21u, 22u, 23u}) {
     models::SlowFastConfig cfg;
@@ -239,10 +245,7 @@ TEST(Conv3DTileParitySweep, SlowFastOutputsMatchPinnedChecksum) {
       crc = common::crc32(scores.data(), scores.numel() * sizeof(float), crc);
     }
   }
-  const std::uint32_t expected = kernel == GemmKernel::kScalar
-                                     ? (kFma ? 0x31893764u : 0xc51c8643u)
-                                     : (kFma ? 0x4bbf4236u : 0x24b9b618u);
-  EXPECT_EQ(crc, expected) << std::hex << "crc 0x" << crc;
+  EXPECT_EQ(crc, expected_crc({0x4bbf4236u, 0x24b9b618u})) << std::hex << "crc 0x" << crc;
 }
 
 // ---------- Conv2D vs the reference loops over random geometries ----------
@@ -328,24 +331,7 @@ TEST(Conv2DReferenceParitySweep, CoversBiasOffKernelOneAndStrideThree) {
 //
 // The 2-D models' outputs and trained checkpoints, CRC'd and compared
 // with values recorded while Conv2D still had its own whole-panel
-// lowering. Like the SlowFast pin above, one value per GEMM kernel x FMA
-// build: {micro+FMA, micro, scalar+FMA, scalar}. The FMA values come
-// from a -march=native build on an AVX-512 host.
-
-struct PinnedCrc {
-  std::uint32_t micro_fma, micro_plain, scalar_fma, scalar_plain;
-};
-
-std::uint32_t expected_crc(const PinnedCrc& pin) {
-#if defined(__FMA__)
-  constexpr bool kFma = true;
-#else
-  constexpr bool kFma = false;
-#endif
-  return resolve_gemm_kernel(GemmKernel::kAuto) == GemmKernel::kScalar
-             ? (kFma ? pin.scalar_fma : pin.scalar_plain)
-             : (kFma ? pin.micro_fma : pin.micro_plain);
-}
+// lowering; one value per FMA build, like the SlowFast pin above.
 
 TEST(Conv2DPinnedBits, ResNetLiteLogitsMatchPinnedChecksum) {
   std::uint32_t crc = 0;
@@ -359,7 +345,7 @@ TEST(Conv2DPinnedBits, ResNetLiteLogitsMatchPinnedChecksum) {
       crc = common::crc32(scores.data(), scores.numel() * sizeof(float), crc);
     }
   }
-  EXPECT_EQ(crc, expected_crc({0x84eded1eu, 0x2ebb5951u, 0x53ab1717u, 0x2ebb5951u}))
+  EXPECT_EQ(crc, expected_crc({0x84eded1eu, 0x2ebb5951u}))
       << std::hex << "crc 0x" << crc;
 }
 
@@ -377,7 +363,7 @@ TEST(Conv2DPinnedBits, YoloLiteOutputsMatchPinnedChecksum) {
       crc = common::crc32(pred.data(), pred.numel() * sizeof(float), crc);
     }
   }
-  EXPECT_EQ(crc, expected_crc({0x119a470du, 0x92a984bcu, 0x119a470du, 0x92a984bcu}))
+  EXPECT_EQ(crc, expected_crc({0x119a470du, 0x92a984bcu}))
       << std::hex << "crc 0x" << crc;
 }
 
@@ -406,21 +392,21 @@ TEST(Conv2DPinnedBits, TrainedCheckpointsMatchPinnedChecksums) {
     models::TSN model(cfg);
     const std::uint32_t crc =
         trained_checkpoint_crc(model, random_tensor({2, 1, 8, 16, 24}, 41), 42);
-    EXPECT_EQ(crc, expected_crc({0x829bb7beu, 0xe6567112u, 0x3da9b954u, 0x3041b869u}))
+    EXPECT_EQ(crc, expected_crc({0x829bb7beu, 0xe6567112u}))
         << std::hex << "tsn crc 0x" << crc;
   }
   {
     models::ResNetLite model;
     const std::uint32_t crc =
         trained_checkpoint_crc(model, random_tensor({3, 1, 16, 24}, 43), 44);
-    EXPECT_EQ(crc, expected_crc({0x8071ac81u, 0x3659b181u, 0xf04e19c8u, 0x3633adfbu}))
+    EXPECT_EQ(crc, expected_crc({0x8071ac81u, 0x3659b181u}))
         << std::hex << "resnet_lite crc 0x" << crc;
   }
   {
     models::InceptionLite model;
     const std::uint32_t crc =
         trained_checkpoint_crc(model, random_tensor({2, 1, 16, 24}, 45), 46);
-    EXPECT_EQ(crc, expected_crc({0x63a1fb41u, 0x064f2daeu, 0x8bbe83e9u, 0x93887b6au}))
+    EXPECT_EQ(crc, expected_crc({0x63a1fb41u, 0x064f2daeu}))
         << std::hex << "inception_lite crc 0x" << crc;
   }
   {
@@ -430,7 +416,7 @@ TEST(Conv2DPinnedBits, TrainedCheckpointsMatchPinnedChecksums) {
     models::YoloLite model(cfg);
     const std::uint32_t crc =
         trained_checkpoint_crc(model, random_tensor({2, 1, 32, 64}, 47), 48);
-    EXPECT_EQ(crc, expected_crc({0xa74e14b6u, 0x4db0d1f6u, 0xf38789feu, 0xd711969cu}))
+    EXPECT_EQ(crc, expected_crc({0xa74e14b6u, 0x4db0d1f6u}))
         << std::hex << "yolo_lite crc 0x" << crc;
   }
 }

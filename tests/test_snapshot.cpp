@@ -115,6 +115,26 @@ TEST(SnapshotStore, CorruptNewestFallsBackToPreviousGeneration) {
       << "got: " << loaded.rejected[0];
 }
 
+TEST(SnapshotStore, RefusedPayloadFallsBackWithItsReason) {
+  TempDir tmp;
+  SnapshotStore store(tmp.path, /*keep=*/3);
+  store.write("good old");
+  store.write("frame-valid but undecodable");
+  std::vector<std::string> checked;
+  const auto loaded =
+      SnapshotStore::load_newest_valid(tmp.path, [&](const std::string& payload) {
+        checked.push_back(payload);
+        return payload == "good old" ? std::string() : std::string("bad enum");
+      });
+  ASSERT_TRUE(loaded.found);
+  EXPECT_EQ(loaded.generation, 1u);
+  EXPECT_EQ(loaded.payload, "good old");
+  ASSERT_EQ(loaded.rejected.size(), 1u);
+  EXPECT_EQ(loaded.rejected[0],
+            SnapshotStore::generation_path(tmp.path, 2).filename().string() + ": payload: bad enum");
+  EXPECT_EQ(checked, (std::vector<std::string>{"frame-valid but undecodable", "good old"}));
+}
+
 TEST(SnapshotStore, EveryGenerationCorruptIsNotFoundWithReasons) {
   TempDir tmp;
   SnapshotStore store(tmp.path, /*keep=*/3);
