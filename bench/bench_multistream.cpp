@@ -9,7 +9,7 @@
 //     back: the "1 stream x K sequential" baseline, i.e. one serving
 //     process per camera with no cross-stream batching.
 //   * batched   — one StreamServer::run() over all K streams: producer
-//     threads feed the deadline-aware micro-batcher, which groups ready
+//     threads feed the work-conserving micro-batcher, which groups ready
 //     windows by weather model and scatters verdicts back per stream.
 // Batched and solo verdicts must agree bit-for-bit with the oracle —
 // any divergence is a hard failure (nonzero exit), because the parity

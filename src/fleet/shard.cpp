@@ -79,7 +79,7 @@ bool ShardHost::run_assignment(const ShardAssignment& a) {
   }
   status_.store(static_cast<int>(ShardStatus::Running), std::memory_order_release);
 
-  // Heartbeat sidecar: liveness + progress + watermarks on a fixed
+  // Heartbeat sidecar: liveness + the latency watermark on a fixed
   // cadence, for as long as the serving loop is on-CPU. publish() never
   // blocks; the controller's silence-based detection does the rest. The
   // incarnation tag lets the controller drop stale/reordered beats a
@@ -94,8 +94,6 @@ bool ShardHost::run_assignment(const ShardAssignment& a) {
       hb.shard = id_;
       hb.incarnation = incarnation;
       hb.seq = seq++;
-      hb.decisions = server->decisions_applied();
-      hb.queue_depth = server->live_queue_depth();
       hb.latency_watermark_ms = server->latency_watermark_ms();
       channel_.publish(hb);
       std::this_thread::sleep_for(interval);

@@ -5,9 +5,12 @@
 // while its serving run is on-CPU; the fleet controller drains every
 // shard's channel on its own watch cadence and feeds the result into a
 // per-shard HealthMonitor (fresh beat → frame_ok, silent interval →
-// frame_missing). Death is therefore *inferred from silence* through the
-// existing Nominal→Degraded→FailSafe state machine, not signalled — a
-// crashed shard cannot be relied on to say goodbye.
+// frame_missing). Besides its identity and ordinal, a beat carries one
+// reading: the shard's capture→verdict latency watermark, which the
+// controller's dynamic admission and gray-drain rules act on. Death is
+// therefore *inferred from silence* through the existing
+// Nominal→Degraded→FailSafe state machine, not signalled — a crashed
+// shard cannot be relied on to say goodbye.
 //
 // Both directions are wait-free with respect to the other side:
 //   * publish() uses BoundedQueue::try_push and, when the controller has
@@ -41,8 +44,6 @@ struct Heartbeat {
   std::size_t shard = 0;            // publishing shard's index
   std::uint64_t incarnation = 0;    // host-monotonic incarnation ordinal
   std::uint64_t seq = 0;            // beat ordinal, monotonic per incarnation
-  std::uint64_t decisions = 0;      // decisions applied so far (progress)
-  std::size_t queue_depth = 0;      // inflight windows across stream queues
   double latency_watermark_ms = 0;  // max capture→verdict latency seen
 };
 

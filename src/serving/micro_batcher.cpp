@@ -1,42 +1,24 @@
 #include "serving/micro_batcher.h"
 
-#include <limits>
+#include <algorithm>
 
 namespace safecross::serving {
 
-namespace {
-
-double ms_between(MicroBatcher::Clock::time_point from, MicroBatcher::Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-}  // namespace
-
-void MicroBatcher::stage(ReadyWindow w, Clock::time_point now) {
-  // Anchor the delay budget at capture time when the stream stamped one:
-  // time the window already spent queued upstream of the batcher counts
-  // against its deadline (a stalled consumer must not grant staged
-  // windows a fresh budget). Unstamped windows (fake-clock tests) and
-  // clock skew (captured "after" now) fall back to the stage clock.
-  const Clock::time_point at =
-      (w.captured != Clock::time_point{} && w.captured < now) ? w.captured : now;
+void MicroBatcher::stage(ReadyWindow w) {
   const GroupKey key{w.model_weather, w.epoch};
-  groups_[key].push_back(Staged{std::move(w), at});
+  groups_[key].push_back(std::move(w));
   ++staged_;
 }
 
-Batch MicroBatcher::fire(const GroupKey& key, std::size_t count, Clock::time_point now,
-                         bool by_deadline) {
-  auto it = groups_.find(key);
-  std::deque<Staged>& group = it->second;
+Batch MicroBatcher::fire(Groups::iterator it) {
+  std::deque<ReadyWindow>& group = it->second;
+  const std::size_t count = std::min(group.size(), config_.max_batch);
   Batch batch;
-  batch.weather = key.first;
-  batch.epoch = key.second;
-  batch.fired_by_deadline = by_deadline;
-  batch.max_wait_ms = ms_between(group.front().at, now);
+  batch.weather = it->first.first;
+  batch.epoch = it->first.second;
   batch.items.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    batch.items.push_back(std::move(group.front().w));
+    batch.items.push_back(std::move(group.front()));
     group.pop_front();
   }
   staged_ -= count;
@@ -44,31 +26,18 @@ Batch MicroBatcher::fire(const GroupKey& key, std::size_t count, Clock::time_poi
   return batch;
 }
 
-std::optional<Batch> MicroBatcher::next_due(Clock::time_point now) {
-  // Full groups first: the largest backlog, ties broken by key order so
-  // the firing sequence is deterministic for a deterministic arrival
-  // order (the fake-clock property tests rely on this). Groups whose
-  // weather is mid-load are held back — their windows keep aging against
-  // the capture-anchored deadline and fire as soon as the model lands.
-  const GroupKey* fullest = nullptr;
-  std::size_t fullest_size = 0;
-  for (const auto& [key, group] : groups_) {
-    if (!servable(key.first)) continue;
-    if (group.size() >= config_.max_batch && group.size() > fullest_size) {
-      fullest = &key;
-      fullest_size = group.size();
-    }
+std::optional<Batch> MicroBatcher::next() {
+  // The largest backlog wins, ties broken by key order so the firing
+  // sequence is deterministic for a deterministic arrival order. Groups
+  // whose weather is mid-load are held back and fire as soon as the model
+  // lands.
+  auto fullest = groups_.end();
+  for (auto it = groups_.begin(); it != groups_.end(); ++it) {
+    if (!servable(it->first.first)) continue;
+    if (fullest == groups_.end() || it->second.size() > fullest->second.size()) fullest = it;
   }
-  if (fullest != nullptr) return fire(*fullest, config_.max_batch, now, /*by_deadline=*/false);
-
-  for (const auto& [key, group] : groups_) {
-    if (!servable(key.first)) continue;
-    if (!group.empty() && ms_between(group.front().at, now) >= config_.max_batch_delay_ms) {
-      const std::size_t count = std::min(group.size(), config_.max_batch);
-      return fire(key, count, now, /*by_deadline=*/true);
-    }
-  }
-  return std::nullopt;
+  if (fullest == groups_.end()) return std::nullopt;
+  return fire(fullest);
 }
 
 std::optional<Batch> MicroBatcher::flush() {
@@ -76,9 +45,7 @@ std::optional<Batch> MicroBatcher::flush() {
   // leave in some batch even if its model never finished loading (the
   // server resolves residency synchronously before deciding it).
   if (groups_.empty()) return std::nullopt;
-  auto it = groups_.begin();
-  const std::size_t count = std::min(it->second.size(), config_.max_batch);
-  return fire(it->first, count, it->second.back().at, /*by_deadline=*/false);
+  return fire(groups_.begin());
 }
 
 std::size_t MicroBatcher::staged_for(Weather weather) const {
@@ -87,16 +54,6 @@ std::size_t MicroBatcher::staged_for(Weather weather) const {
     if (key.first == weather) n += group.size();
   }
   return n;
-}
-
-double MicroBatcher::ms_until_deadline(Clock::time_point now) const {
-  double soonest = std::numeric_limits<double>::max();
-  for (const auto& [key, group] : groups_) {
-    if (group.empty() || !servable(key.first)) continue;
-    const double left = config_.max_batch_delay_ms - ms_between(group.front().at, now);
-    if (left < soonest) soonest = left;
-  }
-  return soonest;
 }
 
 }  // namespace safecross::serving

@@ -1,43 +1,32 @@
 #pragma once
-// Deadline-aware, weather-grouped micro-batcher for the stream server.
+// Weather-grouped micro-batcher for the stream server.
 //
 // Ready windows from K streams are staged into per-(weather, switch-epoch)
-// groups. A group fires as a Batch when it reaches max_batch items, or
-// when its oldest item has waited max_batch_delay_ms — whichever comes
-// first. The two rules bound both throughput loss (batches fill when load
-// allows) and added latency (no window waits longer than the delay knob
-// before the engine sees it).
+// groups. next() fires the fullest servable group, capped at max_batch
+// items. The server calls it until it returns nullopt after every drain
+// pass of its queues, so dispatch is work-conserving: a staged window
+// never waits for a batch to fill while the decider is free, and batches
+// fill by themselves when windows pile up behind a busy decider.
 //
 // Invariants, pinned by the property suite:
 //   * a batch never mixes weathers OR switch epochs — the engine runs one
 //     model per forward pass, so a batch must never straddle a model
 //     switch, even an A→B→A flip back to the same weather;
 //   * a batch never exceeds max_batch items;
-//   * no starvation — once staged, a *servable* window is emitted by
-//     next_due() within max_batch_delay_ms (given the caller polls), or
-//     by flush();
+//   * no starvation — once `while (next())` returns, no servable window
+//     is staged; flush() drains the rest;
 //   * conservation — every staged window appears in exactly one batch.
-//
-// Deadlines anchor at the window's CAPTURE time when the stream stamped
-// one, not at arrival-at-batcher: under a stalled consumer, windows queue
-// upstream of the batcher, and anchoring at stage() time would silently
-// grant them a fresh delay budget on top of the time already lost
-// (deadline drift). Windows without a capture stamp (the fake-clock
-// property tests) fall back to the stage() clock.
 //
 // Servability: the server may install a predicate marking a weather
 // temporarily unservable (its model is still loading in the warm cache).
-// next_due()/ms_until_deadline() hold those groups back — the whole point
-// of pipelined switching is that other weathers keep batching meanwhile —
-// but flush() ignores the predicate so conservation survives shutdown.
+// next() holds those groups back — the whole point of pipelined switching
+// is that other weathers keep batching meanwhile — but flush() ignores
+// the predicate so conservation survives shutdown.
 //
-// The batcher is deliberately threadless and clock-agnostic: callers
-// pass `now` into stage()/next_due(), so the property tests drive it
-// with a fake clock and assert deadline behaviour deterministically.
-// The server's batcher thread is the only concurrent user and calls it
-// from one thread; no locking is needed here.
+// The batcher is deliberately threadless and takes no clock. The server's
+// batcher thread is the only concurrent user and calls it from one
+// thread; no locking is needed here.
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -52,22 +41,18 @@
 namespace safecross::serving {
 
 struct BatcherConfig {
-  std::size_t max_batch = 8;        // fire a weather group at this size...
-  double max_batch_delay_ms = 4.0;  // ...or when its oldest item is this old
+  std::size_t max_batch = 8;  // items per forward pass at most
 };
 
 /// One weather-uniform batch ready for a single (N,1,T,H,W) forward pass.
 struct Batch {
   Weather weather = Weather::Daytime;
   std::uint32_t epoch = 0;  // switch epoch shared by every item
-  std::vector<ReadyWindow> items;
-  double max_wait_ms = 0.0;  // staging wait of the oldest item at fire time
-  bool fired_by_deadline = false;
+  std::vector<ReadyWindow> items;  // staging order
 };
 
 class MicroBatcher {
  public:
-  using Clock = std::chrono::steady_clock;
   using ServablePredicate = std::function<bool(Weather)>;
 
   explicit MicroBatcher(BatcherConfig config) : config_(config) {
@@ -77,16 +62,14 @@ class MicroBatcher {
   const BatcherConfig& config() const { return config_; }
 
   /// Stage one model-gated window into its (weather, epoch) group.
-  void stage(ReadyWindow w, Clock::time_point now);
+  void stage(ReadyWindow w);
 
-  /// The next batch that must fire at `now`: a full servable group first
-  /// (largest backlog wins, then key order — deterministic), else the
-  /// servable group whose oldest item has exceeded the delay budget.
-  /// nullopt when nothing is due yet.
-  std::optional<Batch> next_due(Clock::time_point now);
+  /// The fullest servable group as one batch of at most max_batch items
+  /// (ties broken by key order — deterministic); nullopt when no servable
+  /// window is staged.
+  std::optional<Batch> next();
 
-  /// Drain one remaining group regardless of size/deadline/servability
-  /// (end of run).
+  /// Drain one remaining group regardless of servability (end of run).
   std::optional<Batch> flush();
 
   bool empty() const { return staged_ == 0; }
@@ -99,25 +82,17 @@ class MicroBatcher {
   /// Install (or clear, with {}) the weather-servability predicate.
   void set_servable(ServablePredicate servable) { servable_ = std::move(servable); }
 
-  /// Milliseconds until the oldest servable staged item's deadline expires
-  /// at `now` (<= 0 when already due); a very large value when empty or
-  /// everything is held back. The server uses this to size its idle wait.
-  double ms_until_deadline(Clock::time_point now) const;
-
  private:
   // Key order = weather enum order, then epoch — deterministic tie-break.
   using GroupKey = std::pair<Weather, std::uint32_t>;
+  using Groups = std::map<GroupKey, std::deque<ReadyWindow>>;
 
-  struct Staged {
-    ReadyWindow w;
-    Clock::time_point at;  // deadline anchor (capture time when stamped)
-  };
-
-  Batch fire(const GroupKey& key, std::size_t count, Clock::time_point now, bool by_deadline);
+  /// Pop up to max_batch items off the front of `it`'s group as one batch.
+  Batch fire(Groups::iterator it);
   bool servable(Weather weather) const { return !servable_ || servable_(weather); }
 
   BatcherConfig config_;
-  std::map<GroupKey, std::deque<Staged>> groups_;
+  Groups groups_;
   ServablePredicate servable_;
   std::size_t staged_ = 0;
 };

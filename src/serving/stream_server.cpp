@@ -18,8 +18,8 @@ namespace {
 
 constexpr const char* kJournalFile = "journal.wal";
 
-// How long the batcher blocks on one queue when nothing arrived and
-// nothing fired (never past the oldest staged window's deadline).
+// How long the batcher blocks on one queue when nothing arrived and no
+// servable window is staged.
 constexpr double kPopTimeoutMs = 1.0;
 
 // Seed of the producer supervisor's restart-backoff jitter.
@@ -509,7 +509,10 @@ void StreamServer::decide_fail_safe(const ReadyWindow& w) {
   note_applied(latency);
 }
 
-void StreamServer::decide_batch(Batch& batch) {
+void StreamServer::decide_batch(Batch& batch, Clock::time_point dispatched) {
+  const double max_wait_ms =
+      std::chrono::duration<double, std::milli>(dispatched - batch.items.front().captured)
+          .count();
   if (config_.decide_delay_ms > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(config_.decide_delay_ms));
@@ -554,8 +557,8 @@ void StreamServer::decide_batch(Batch& batch) {
     note_applied(latency);
   }
   windows_batched_ += batch.items.size();
-  batch_log_.push_back({batch.weather, batch.epoch, batch.items.size(), batch.max_wait_ms,
-                        batch.fired_by_deadline});
+  batch_log_.push_back({batch.weather, batch.epoch, batch.items.size(), max_wait_ms,
+                        batch.items.size() < effective_max_batch()});
 }
 
 void StreamServer::accept(MicroBatcher& batcher, ReadyWindow w) {
@@ -570,7 +573,7 @@ void StreamServer::accept(MicroBatcher& batcher, ReadyWindow w) {
   if (cache_ != nullptr && config_.switch_mode == SwitchMode::Pipelined) {
     request_load(w.model_weather);
   }
-  batcher.stage(std::move(w), Clock::now());
+  batcher.stage(std::move(w));
 }
 
 // --- serving-path switching ---
@@ -882,7 +885,7 @@ void StreamServer::quiesce(
       accept(batcher, std::move(*w));
     }
   }
-  while (std::optional<Batch> batch = batcher.flush()) decide_batch(*batch);
+  while (std::optional<Batch> batch = batcher.flush()) decide_batch(*batch, Clock::now());
   at_quiescence();
   {
     std::lock_guard<std::mutex> lk(park_mu_);
@@ -1038,21 +1041,14 @@ void StreamServer::run() {
         if (!q.drained()) all_drained = false;
       }
       rr = (rr + 1) % k;
-      // Live queue-depth watermark for fleet heartbeats: what is queued
-      // right after a full drain pass is genuine backlog the consumer
-      // could not keep ahead of.
-      {
-        std::size_t depth = 0;
-        for (std::size_t i = 0; i < k; ++i) depth += queues[i]->size();
-        if (depth > live_queue_depth_.load(std::memory_order_relaxed)) {
-          live_queue_depth_.store(depth, std::memory_order_relaxed);
-        }
-      }
 
-      const auto now = Clock::now();
-      while (std::optional<Batch> batch = batcher.next_due(now)) {
+      // Work-conserving dispatch: fire until no servable window is staged.
+      // Firing only one batch per pass would move the backlog out of the
+      // bounded queues into the unbounded batcher.
+      const auto dispatched = Clock::now();
+      while (std::optional<Batch> batch = batcher.next()) {
         progressed = true;
-        decide_batch(*batch);
+        decide_batch(*batch, dispatched);
         // Check cadence per batch, not only at the loop top: a snapshot
         // needs every produced window applied, and each window drained
         // into the batcher past this point pushes that consistent cut
@@ -1063,19 +1059,16 @@ void StreamServer::run() {
 
       if (all_drained && batcher.empty()) break;
       if (!progressed) {
-        // Nothing arrived and nothing fired: block briefly on one queue,
-        // but never past the oldest staged window's batch deadline.
-        double wait = kPopTimeoutMs;
-        const double deadline = batcher.ms_until_deadline(Clock::now());
-        if (deadline < wait) wait = deadline;
-        if (std::optional<ReadyWindow> w = queues[rr]->pop(to_ms(wait))) {
+        // Nothing arrived and nothing servable is staged: block briefly on
+        // one queue.
+        if (std::optional<ReadyWindow> w = queues[rr]->pop(to_ms(kPopTimeoutMs))) {
           accept(batcher, std::move(*w));
         }
       }
     }
     // The loop only exits with the batcher empty; flush defends against a
     // future policy change leaving a remainder.
-    while (std::optional<Batch> batch = batcher.flush()) decide_batch(*batch);
+    while (std::optional<Batch> batch = batcher.flush()) decide_batch(*batch, Clock::now());
     // A load still in flight at the end (its windows were all served via
     // blocking paths) must land before the cache stats are read.
     if (load_ != nullptr) {

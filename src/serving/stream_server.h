@@ -7,17 +7,18 @@
 //   stream 0 producer ──q0──┐
 //   stream 1 producer ──q1──┼──▶ batcher thread ──▶ one (N,1,T,H,W)
 //   ...                     │    (weather-grouped,   forward pass per
-//   stream K-1 ───────qK-1──┘     deadline-aware)    batch, verdicts
+//   stream K-1 ───────qK-1──┘     work-conserving)   batch, verdicts
 //                                                    scattered back
 //
 // Each stream runs as a supervised producer thread ticking its own
 // StreamContext and pushing ReadyWindows into a per-stream BoundedQueue
 // (backpressure first, oldest-first shedding past the push timeout when
 // shed_on_overload is set). The calling thread drains all queues into a
-// MicroBatcher, fires weather-uniform batches, runs one batched forward
-// pass per batch, and scatters the verdicts back onto each stream's
-// scorecard. Fail-safe-gated windows bypass the batcher — their verdict
-// is already resolved and must not wait on batch formation.
+// MicroBatcher, fires weather-uniform batches until no servable window is
+// staged, runs one batched forward pass per batch, and scatters the
+// verdicts back onto each stream's scorecard. Fail-safe-gated windows
+// bypass the batcher — their verdict is already resolved and must not
+// wait on batch formation.
 //
 // Sequential mode (run_sequential()): the reference implementation —
 // each stream alone, in order, every model-gated decision classified
@@ -199,7 +200,12 @@ struct BatchRecord {
   Weather weather = Weather::Daytime;
   std::uint32_t epoch = 0;
   std::size_t size = 0;
+  /// Capture of the batch's first-staged window → the dispatch round that
+  /// fired it (queue and staging waits included).
   double max_wait_ms = 0.0;
+  /// True when the batch fired below max_batch. The name predates
+  /// work-conserving dispatch, when only a batch deadline fired partial
+  /// groups; perfbench/perfbench.cpp reads it under this name.
   bool fired_by_deadline = false;
 };
 
@@ -294,20 +300,13 @@ class StreamServer {
   std::size_t total_decisions() const;
 
   // --- live progress (fleet heartbeat observability) ---
-  // Readable from another thread while run() is on-CPU: relaxed atomics,
+  // Readable from another thread while run() is on-CPU: a relaxed atomic,
   // single writer (the deciding thread). Never decision-bearing — a fleet
-  // heartbeat samples these, and wall-clock jitter in when it looks can
+  // heartbeat samples it, and wall-clock jitter in when it looks can
   // never perturb a verdict.
-  std::uint64_t decisions_applied() const {
-    return applied_.load(std::memory_order_relaxed);
-  }
   /// Max capture→verdict latency seen so far (ms).
   double latency_watermark_ms() const {
     return latency_watermark_ms_.load(std::memory_order_relaxed);
-  }
-  /// Sum of ready-window queue depths at the consumer's last pass.
-  std::size_t live_queue_depth() const {
-    return live_queue_depth_.load(std::memory_order_relaxed);
   }
 
   // --- batched-mode scorecard ---
@@ -347,17 +346,17 @@ class StreamServer {
   /// the batcher.
   void accept(MicroBatcher& batcher, ReadyWindow w);
   void decide_fail_safe(const ReadyWindow& w);
-  /// Progress + latency-watermark bookkeeping for every applied decision
-  /// (deciding thread only; read by fleet heartbeats).
+  /// Latency bookkeeping for every applied decision (deciding thread
+  /// only; fleet heartbeats read the watermark).
   void note_applied(double latency_ms) {
-    applied_.fetch_add(1, std::memory_order_relaxed);
     if (latency_ms > latency_watermark_ms_.load(std::memory_order_relaxed)) {
       latency_watermark_ms_.store(latency_ms, std::memory_order_relaxed);
     }
     latency_log_.push_back(latency_ms);
   }
-  /// One batched forward pass + scatter; appends to the batch log.
-  void decide_batch(Batch& batch);
+  /// One batched forward pass + scatter; appends to the batch log, with
+  /// the batch's wait measured up to `dispatched`.
+  void decide_batch(Batch& batch, Clock::time_point dispatched);
   /// The weather whose model judges a `weather` window: its own model,
   /// else the daytime fallback, else nullopt (the engine has neither).
   /// Shared by both modes so they cannot drift.
@@ -477,9 +476,7 @@ class StreamServer {
   std::size_t stage_restarts_ = 0;
   std::size_t streams_gave_up_ = 0;
   std::atomic<std::size_t> crashes_injected_{0};
-  std::atomic<std::uint64_t> applied_{0};
   std::atomic<double> latency_watermark_ms_{0.0};
-  std::atomic<std::size_t> live_queue_depth_{0};
   std::vector<double> latency_log_;  // deciding thread only
   bool ran_ = false;
 

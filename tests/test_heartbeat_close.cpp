@@ -17,7 +17,6 @@ Heartbeat beat(std::uint64_t seq) {
   Heartbeat hb;
   hb.shard = 1;
   hb.seq = seq;
-  hb.decisions = seq * 2;
   return hb;
 }
 

@@ -1,12 +1,12 @@
-// MicroBatcher properties, driven with a fake clock (the batcher is
-// deliberately clock-agnostic, so deadline behaviour is testable without
-// sleeping):
-//   * a batch never mixes weathers and never exceeds max_batch;
+// MicroBatcher properties, driven by seeded arrival and dispatch schedules
+// (the batcher takes no clock, so every property is deterministic):
+//   * a batch never mixes weathers or switch epochs and never exceeds
+//     max_batch;
 //   * conservation — every staged window lands in exactly one batch;
 //   * FIFO within a weather group;
-//   * no starvation — with the caller polling, every window is fired no
-//     later than its deadline plus one poll quantum;
-//   * a full group fires immediately, without waiting for the deadline.
+//   * no starvation — after `while (next())` no servable window remains
+//     staged, whatever the servability predicate says at that moment;
+//   * unservable groups are held back, and flush() ignores servability.
 
 #include "serving/micro_batcher.h"
 
@@ -21,51 +21,29 @@
 namespace safecross::serving {
 namespace {
 
-using Clock = MicroBatcher::Clock;
-
-Clock::time_point fake_time(double ms) {
-  return Clock::time_point{} + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double, std::milli>(ms));
-}
-
-ReadyWindow make_window(std::size_t id, Weather weather, std::uint32_t epoch = 0,
-                        Clock::time_point captured = Clock::time_point{}) {
+ReadyWindow make_window(std::size_t id, Weather weather, std::uint32_t epoch = 0) {
   ReadyWindow w;
   w.seq = id;  // unique id for conservation tracking
   w.model_weather = weather;
   w.epoch = epoch;
-  w.captured = captured;
   return w;
 }
 
 constexpr Weather kWeathers[] = {Weather::Daytime, Weather::Rain, Weather::Snow,
                                  Weather::Night, Weather::Fog};
 
-struct Fired {
-  Batch batch;
-  double at_ms = 0.0;
-};
-
-/// Random arrival schedule, polled at a fixed quantum; returns every
+/// Random arrivals with a dispatch round (`while (next())`) now and then,
+/// as a decider that is busy between rounds would run them; returns every
 /// batch fired (including the end-of-run flush).
-std::vector<Fired> drive(MicroBatcher& batcher, Rng& rng, std::size_t windows,
-                         double horizon_ms, double poll_ms,
-                         std::map<std::size_t, double>* staged_at = nullptr) {
-  std::vector<Fired> fired;
-  std::size_t next_id = 0;
-  double clock_ms = 0.0;
-  while (clock_ms <= horizon_ms || next_id < windows) {
-    if (next_id < windows && rng.bernoulli(0.4)) {
-      const Weather w = kWeathers[rng.uniform_int(std::uint64_t{5})];
-      if (staged_at != nullptr) (*staged_at)[next_id] = clock_ms;
-      batcher.stage(make_window(next_id++, w), fake_time(clock_ms));
+std::vector<Batch> drive(MicroBatcher& batcher, Rng& rng, std::size_t windows) {
+  std::vector<Batch> fired;
+  for (std::size_t id = 0; id < windows; ++id) {
+    batcher.stage(make_window(id, kWeathers[rng.uniform_int(std::uint64_t{5})]));
+    if (rng.bernoulli(0.3)) {
+      while (auto batch = batcher.next()) fired.push_back(std::move(*batch));
     }
-    while (auto batch = batcher.next_due(fake_time(clock_ms))) {
-      fired.push_back({std::move(*batch), clock_ms});
-    }
-    clock_ms += poll_ms;
   }
-  while (auto batch = batcher.flush()) fired.push_back({std::move(*batch), clock_ms});
+  while (auto batch = batcher.flush()) fired.push_back(std::move(*batch));
   return fired;
 }
 
@@ -74,14 +52,12 @@ TEST(MicroBatcherProperty, BatchesNeverMixWeathersOrExceedMaxBatch) {
     Rng rng(seed);
     BatcherConfig cfg;
     cfg.max_batch = 1 + rng.uniform_int(std::uint64_t{8});
-    cfg.max_batch_delay_ms = rng.uniform(0.5, 10.0);
     MicroBatcher batcher(cfg);
-    const auto fired = drive(batcher, rng, 200, 400.0, 1.0);
-    for (const Fired& f : fired) {
-      ASSERT_FALSE(f.batch.items.empty());
-      ASSERT_LE(f.batch.items.size(), cfg.max_batch) << "seed " << seed;
-      for (const ReadyWindow& w : f.batch.items) {
-        ASSERT_EQ(w.model_weather, f.batch.weather)
+    for (const Batch& b : drive(batcher, rng, 200)) {
+      ASSERT_FALSE(b.items.empty());
+      ASSERT_LE(b.items.size(), cfg.max_batch) << "seed " << seed;
+      for (const ReadyWindow& w : b.items) {
+        ASSERT_EQ(w.model_weather, b.weather)
             << "seed " << seed << ": a batch straddled a model switch";
       }
     }
@@ -93,14 +69,13 @@ TEST(MicroBatcherProperty, EveryStagedWindowFiresExactlyOnce) {
     Rng rng(seed);
     BatcherConfig cfg;
     cfg.max_batch = 1 + rng.uniform_int(std::uint64_t{6});
-    cfg.max_batch_delay_ms = rng.uniform(0.5, 8.0);
     MicroBatcher batcher(cfg);
     constexpr std::size_t kWindows = 150;
-    const auto fired = drive(batcher, rng, kWindows, 300.0, 1.0);
+    const auto fired = drive(batcher, rng, kWindows);
     EXPECT_TRUE(batcher.empty());
     std::set<std::size_t> seen;
-    for (const Fired& f : fired) {
-      for (const ReadyWindow& w : f.batch.items) {
+    for (const Batch& b : fired) {
+      for (const ReadyWindow& w : b.items) {
         EXPECT_TRUE(seen.insert(w.seq).second)
             << "seed " << seed << ": window " << w.seq << " fired twice";
       }
@@ -114,12 +89,10 @@ TEST(MicroBatcherProperty, FifoWithinEachWeatherGroup) {
     Rng rng(seed);
     BatcherConfig cfg;
     cfg.max_batch = 1 + rng.uniform_int(std::uint64_t{5});
-    cfg.max_batch_delay_ms = rng.uniform(0.5, 6.0);
     MicroBatcher batcher(cfg);
-    const auto fired = drive(batcher, rng, 120, 250.0, 1.0);
     std::map<Weather, std::size_t> last_id;
-    for (const Fired& f : fired) {
-      for (const ReadyWindow& w : f.batch.items) {
+    for (const Batch& b : drive(batcher, rng, 120)) {
+      for (const ReadyWindow& w : b.items) {
         auto it = last_id.find(w.model_weather);
         if (it != last_id.end()) {
           EXPECT_GT(w.seq, it->second) << "seed " << seed << ": group reordered";
@@ -130,115 +103,80 @@ TEST(MicroBatcherProperty, FifoWithinEachWeatherGroup) {
   }
 }
 
-TEST(MicroBatcherProperty, NoWindowWaitsPastDeadlinePlusPollQuantum) {
+// No starvation, restated for work-conserving dispatch: a dispatch round
+// leaves no servable window staged, while the servability predicate
+// flips underneath (models loading and landing); held-back windows are
+// kept, and fire in the first round after their weather turns servable.
+TEST(MicroBatcherProperty, NoServableWindowRemainsAfterDispatch) {
   for (std::uint64_t seed = 51; seed <= 65; ++seed) {
     Rng rng(seed);
     BatcherConfig cfg;
-    cfg.max_batch = 4;
-    cfg.max_batch_delay_ms = rng.uniform(1.0, 8.0);
+    cfg.max_batch = 1 + rng.uniform_int(std::uint64_t{6});
     MicroBatcher batcher(cfg);
-    constexpr double kPollMs = 1.0;
-    std::map<std::size_t, double> staged_at;
-    // Finish staging well before the horizon so no window rides out on
-    // the flush (the flush models end-of-run, not steady state).
-    const auto fired = drive(batcher, rng, 100, 300.0, kPollMs, &staged_at);
-    for (const Fired& f : fired) {
-      for (const ReadyWindow& w : f.batch.items) {
-        const double waited = f.at_ms - staged_at.at(w.seq);
-        EXPECT_LE(waited, cfg.max_batch_delay_ms + kPollMs)
-            << "seed " << seed << ": window " << w.seq << " starved";
+    std::set<Weather> loading;
+    batcher.set_servable([&](Weather w) { return loading.count(w) == 0; });
+    constexpr std::size_t kWindows = 200;
+    std::size_t fired = 0;
+    std::uint32_t epoch = 0;
+    for (std::size_t id = 0; id < kWindows; ++id) {
+      if (rng.bernoulli(0.1)) ++epoch;
+      const Weather w = kWeathers[rng.uniform_int(std::uint64_t{5})];
+      batcher.stage(make_window(id, w, epoch));
+      if (rng.bernoulli(0.2)) {
+        const Weather flip = kWeathers[rng.uniform_int(std::uint64_t{5})];
+        if (!loading.erase(flip)) loading.insert(flip);
+      }
+      if (rng.bernoulli(0.4)) {
+        while (auto batch = batcher.next()) {
+          EXPECT_EQ(loading.count(batch->weather), 0u)
+              << "seed " << seed << ": an unservable group fired";
+          fired += batch->items.size();
+        }
+        for (Weather weather : kWeathers) {
+          if (loading.count(weather) != 0) continue;
+          EXPECT_EQ(batcher.staged_for(weather), 0u)
+              << "seed " << seed << ": a servable window was left staged after dispatch";
+        }
       }
     }
+    loading.clear();
+    while (auto batch = batcher.next()) fired += batch->items.size();
+    EXPECT_TRUE(batcher.empty()) << "seed " << seed << ": held-back windows never fired";
+    EXPECT_EQ(fired, kWindows) << "seed " << seed;
   }
 }
 
+// A full group fires at once, the fullest group first and capped at
+// max_batch; partial groups fire too, ties broken by key order.
 TEST(MicroBatcherProperty, FullGroupFiresImmediately) {
   BatcherConfig cfg;
   cfg.max_batch = 3;
-  cfg.max_batch_delay_ms = 100.0;  // far away: only fullness can fire
   MicroBatcher batcher(cfg);
-  const auto now = fake_time(0.0);
-  batcher.stage(make_window(0, Weather::Rain), now);
-  batcher.stage(make_window(1, Weather::Rain), now);
-  EXPECT_FALSE(batcher.next_due(now).has_value()) << "fired before full and before deadline";
-  batcher.stage(make_window(2, Weather::Rain), now);
-  auto batch = batcher.next_due(now);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->items.size(), 3u);
-  EXPECT_FALSE(batch->fired_by_deadline);
+  batcher.stage(make_window(0, Weather::Fog));
+  batcher.stage(make_window(1, Weather::Rain));
+  batcher.stage(make_window(2, Weather::Fog));
+  batcher.stage(make_window(3, Weather::Rain));
+  batcher.stage(make_window(4, Weather::Fog));
+  batcher.stage(make_window(5, Weather::Fog));
+  batcher.stage(make_window(6, Weather::Fog));
+
+  auto first = batcher.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->weather, Weather::Fog) << "the fullest group fires first";
+  ASSERT_EQ(first->items.size(), 3u) << "capped at max_batch";
+  EXPECT_EQ(first->items[0].seq, 0u);
+  EXPECT_EQ(first->items[2].seq, 4u);
+
+  auto second = batcher.next();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->weather, Weather::Rain) << "two-two tie: key order (Rain < Fog)";
+  EXPECT_EQ(second->items.size(), 2u);
+  auto third = batcher.next();
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->weather, Weather::Fog);
+  EXPECT_EQ(third->items.size(), 2u);
+  EXPECT_FALSE(batcher.next().has_value());
   EXPECT_TRUE(batcher.empty());
-}
-
-TEST(MicroBatcherProperty, DeadlineFiresPartialGroup) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_batch_delay_ms = 5.0;
-  MicroBatcher batcher(cfg);
-  batcher.stage(make_window(0, Weather::Fog), fake_time(0.0));
-  batcher.stage(make_window(1, Weather::Fog), fake_time(2.0));
-  EXPECT_FALSE(batcher.next_due(fake_time(4.9)).has_value());
-  EXPECT_NEAR(batcher.ms_until_deadline(fake_time(4.0)), 1.0, 1e-9);
-  auto batch = batcher.next_due(fake_time(5.0));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_TRUE(batch->fired_by_deadline);
-  EXPECT_EQ(batch->items.size(), 2u) << "the whole waiting group rides the deadline batch";
-  EXPECT_NEAR(batch->max_wait_ms, 5.0, 1e-9);
-}
-
-// Regression: the deadline anchors at the oldest window's CAPTURE time,
-// not its arrival at the batcher. A consumer stalled 50 ms (a blocking
-// model load, a snapshot barrier) must not grant every queued window a
-// fresh deadline budget on top of the wait it already served — that
-// drift compounds across switches.
-TEST(MicroBatcherProperty, DeadlineAnchorsAtCaptureTimeNotArrival) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_batch_delay_ms = 5.0;
-  MicroBatcher batcher(cfg);
-  // Captured at t=1, but the consumer only drains its queue at t=51.
-  batcher.stage(make_window(0, Weather::Rain, 0, fake_time(1.0)), fake_time(51.0));
-  auto batch = batcher.next_due(fake_time(51.0));
-  ASSERT_TRUE(batch.has_value()) << "deadline drifted: budget restarted at arrival";
-  EXPECT_TRUE(batch->fired_by_deadline);
-  EXPECT_NEAR(batch->max_wait_ms, 50.0, 1e-9)
-      << "the wait already served in the queue must count against the budget";
-
-  // A window with no capture stamp (fake-clock harnesses, fail-safe
-  // replays) keeps the old arrival anchor.
-  batcher.stage(make_window(1, Weather::Rain), fake_time(10.0));
-  EXPECT_FALSE(batcher.next_due(fake_time(14.9)).has_value());
-  auto fallback = batcher.next_due(fake_time(15.0));
-  ASSERT_TRUE(fallback.has_value());
-  EXPECT_TRUE(fallback->fired_by_deadline);
-}
-
-// A stalled consumer must not let deadline drift accumulate: windows
-// captured at a steady cadence but drained in one burst all fire the
-// moment the consumer looks, each reporting its true capture→fire wait.
-TEST(MicroBatcherProperty, StalledConsumerDoesNotAccumulateDeadlineDrift) {
-  for (std::uint64_t seed = 66; seed <= 75; ++seed) {
-    Rng rng(seed);
-    BatcherConfig cfg;
-    cfg.max_batch = 64;  // only deadlines fire
-    cfg.max_batch_delay_ms = rng.uniform(1.0, 6.0);
-    MicroBatcher batcher(cfg);
-    const double stall_ms = 40.0 + rng.uniform(0.0, 40.0);
-    constexpr std::size_t kWindows = 16;
-    for (std::size_t i = 0; i < kWindows; ++i) {
-      // Captured 1 ms apart while the consumer was stalled (t=0 is the
-      // "unstamped" sentinel, so stamps start at 1).
-      batcher.stage(make_window(i, Weather::Snow, 0, fake_time(1.0 + double(i))),
-                    fake_time(stall_ms));
-    }
-    std::size_t seen = 0;
-    while (auto batch = batcher.next_due(fake_time(stall_ms))) {
-      EXPECT_TRUE(batch->fired_by_deadline);
-      EXPECT_GE(batch->max_wait_ms, stall_ms - double(kWindows))
-          << "seed " << seed << ": drift hid the wait served before arrival";
-      seen += batch->items.size();
-    }
-    EXPECT_EQ(seen, kWindows) << "seed " << seed << ": all overdue windows fire at once";
-  }
 }
 
 // Batches never straddle a switch epoch, even A→B→A: same-weather
@@ -249,19 +187,16 @@ TEST(MicroBatcherProperty, BatchesNeverMixSwitchEpochs) {
     Rng rng(seed);
     BatcherConfig cfg;
     cfg.max_batch = 1 + rng.uniform_int(std::uint64_t{6});
-    cfg.max_batch_delay_ms = rng.uniform(0.5, 6.0);
     MicroBatcher batcher(cfg);
     std::vector<Batch> fired;
-    double clock_ms = 0.0;
     std::uint32_t epoch = 0;
     for (std::size_t id = 0; id < 150; ++id) {
       if (rng.bernoulli(0.15)) ++epoch;  // a switch storm in miniature
       const Weather w = kWeathers[rng.uniform_int(std::uint64_t{3})];
-      batcher.stage(make_window(id, w, epoch), fake_time(clock_ms));
-      while (auto batch = batcher.next_due(fake_time(clock_ms))) {
-        fired.push_back(std::move(*batch));
+      batcher.stage(make_window(id, w, epoch));
+      if (rng.bernoulli(0.3)) {
+        while (auto batch = batcher.next()) fired.push_back(std::move(*batch));
       }
-      clock_ms += rng.uniform(0.0, 2.0);
     }
     while (auto batch = batcher.flush()) fired.push_back(std::move(*batch));
     std::size_t total = 0;
@@ -277,40 +212,42 @@ TEST(MicroBatcherProperty, BatchesNeverMixSwitchEpochs) {
   }
 }
 
-// The servability gate: next_due holds back groups whose weather the
+// The servability gate: next() holds back groups whose weather the
 // predicate rejects (their model is still loading) without starving the
-// servable ones; flush ignores the gate (conservation at end-of-run).
+// servable ones; flush() ignores the gate (conservation at end-of-run).
 TEST(MicroBatcherProperty, UnservableGroupsAreHeldBackNotDropped) {
   BatcherConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_batch_delay_ms = 2.0;
   MicroBatcher batcher(cfg);
   bool rain_resident = false;
   batcher.set_servable([&](Weather w) { return w != Weather::Rain || rain_resident; });
 
-  batcher.stage(make_window(0, Weather::Rain), fake_time(0.0));
-  batcher.stage(make_window(1, Weather::Daytime), fake_time(0.0));
-  EXPECT_EQ(batcher.staged_for(Weather::Rain), 1u);
+  batcher.stage(make_window(0, Weather::Rain));
+  batcher.stage(make_window(1, Weather::Rain));
+  batcher.stage(make_window(2, Weather::Daytime));
+  EXPECT_EQ(batcher.staged_for(Weather::Rain), 2u);
 
-  // Far past every deadline: only the servable group fires.
-  auto first = batcher.next_due(fake_time(10.0));
+  // Only the servable group fires, although the held one is fuller.
+  auto first = batcher.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->weather, Weather::Daytime);
-  EXPECT_FALSE(batcher.next_due(fake_time(10.0)).has_value())
+  EXPECT_FALSE(batcher.next().has_value())
       << "an unservable group fired while its model was still loading";
   EXPECT_FALSE(batcher.empty()) << "held back, not dropped";
 
-  // The load commits: the held group fires with its full served wait.
+  // The load commits: the held group fires whole, in staging order.
   rain_resident = true;
-  auto second = batcher.next_due(fake_time(12.0));
+  auto second = batcher.next();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->weather, Weather::Rain);
-  EXPECT_NEAR(second->max_wait_ms, 12.0, 1e-9);
+  ASSERT_EQ(second->items.size(), 2u);
+  EXPECT_EQ(second->items[0].seq, 0u);
   EXPECT_TRUE(batcher.empty());
 
   // flush() drains even unservable groups — end-of-run conservation.
   rain_resident = false;
-  batcher.stage(make_window(2, Weather::Rain), fake_time(20.0));
+  batcher.stage(make_window(3, Weather::Rain));
+  EXPECT_FALSE(batcher.next().has_value());
   auto flushed = batcher.flush();
   ASSERT_TRUE(flushed.has_value());
   EXPECT_EQ(flushed->weather, Weather::Rain);

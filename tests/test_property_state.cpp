@@ -80,58 +80,68 @@ struct Scenario {
   int trials;
 };
 
-std::vector<Scenario> scenarios() {
-  return {{"fast", testing::fast_stream(), 380, 96},
-          {"faulty", testing::faulty_stream(), 340, 96},
-          {"fullvp", testing::fullvp_stream(), 240, 8}};
-}
-
-TEST(StateMutation, StreamSnapshotsAreRefusedOrKeepRunning) {
+/// Cut a snapshot of the scenario's stream, then restore `trials` seeded
+/// mutations of it: each must be refused with StateError or survive 200
+/// further ticks. Returns how many were refused.
+int refused_stream_mutations(const Scenario& s) {
   constexpr int kTicksAfter = 200;
   // The layout's small fields sit at the two ends: the simulator and the
   // collector's head first, then after the window's pixels the flags,
   // counters, health, injector, recalibration loop, scorecard and trace.
   constexpr std::size_t kHead = 1024;
   constexpr std::size_t kTail = 2048;
-  int refused_total = 0;
-  for (const Scenario& s : scenarios()) {
-    serving::StreamContext base(s.config);
-    base.set_record_trace(true);
-    testing::run(base, s.frames);
-    common::StateWriter writer;
-    base.save_state(writer);
-    const std::string bytes = writer.take();
-    ASSERT_GT(bytes.size(), kHead + kTail);
+  serving::StreamContext base(s.config);
+  base.set_record_trace(true);
+  testing::run(base, s.frames);
+  common::StateWriter writer;
+  base.save_state(writer);
+  const std::string bytes = writer.take();
+  EXPECT_GT(bytes.size(), kHead + kTail);
+  if (bytes.size() <= kHead + kTail) return 0;
 
-    Rng rng(0x5747E000u + static_cast<std::uint64_t>(s.frames));
-    int refused = 0;
-    for (int t = 0; t < s.trials; ++t) {
-      std::size_t lo = 0, hi = kHead;
-      if (t % 2 == 1) {
-        lo = bytes.size() - kTail;
-        hi = bytes.size();
-      }
-      if (t % 8 == 7) lo = 0;  // now and then anywhere, pixels included
-      const std::string bad = mutate(bytes, lo, hi, rng);
-      serving::StreamContext ctx(s.config);
-      try {
-        common::StateReader r(bad);
-        ctx.load_state(r);
-      } catch (const common::StateError&) {
-        ++refused;
-        continue;
-      }
-      try {
-        testing::run(ctx, kTicksAfter);
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << s.name << " trial " << t << ": restored state threw after load: "
-                      << e.what();
-      }
+  Rng rng(0x5747E000u + static_cast<std::uint64_t>(s.frames));
+  int refused = 0;
+  for (int t = 0; t < s.trials; ++t) {
+    std::size_t lo = 0, hi = kHead;
+    if (t % 2 == 1) {
+      lo = bytes.size() - kTail;
+      hi = bytes.size();
     }
-    refused_total += refused;
-    EXPECT_LT(refused, s.trials) << s.name << ": every mutation was refused";
+    if (t % 8 == 7) lo = 0;  // now and then anywhere, pixels included
+    const std::string bad = mutate(bytes, lo, hi, rng);
+    serving::StreamContext ctx(s.config);
+    try {
+      common::StateReader r(bad);
+      ctx.load_state(r);
+    } catch (const common::StateError&) {
+      ++refused;
+      continue;
+    }
+    try {
+      testing::run(ctx, kTicksAfter);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << s.name << " trial " << t << ": restored state threw after load: "
+                    << e.what();
+    }
   }
-  EXPECT_GT(refused_total, 0) << "no mutation was refused; the property is vacuous";
+  EXPECT_LT(refused, s.trials) << s.name << ": every mutation was refused";
+  return refused;
+}
+
+// One case per scenario, so ctest can run them side by side.
+TEST(StateMutation, FastStreamSnapshotsAreRefusedOrKeepRunning) {
+  EXPECT_GT(refused_stream_mutations({"fast", testing::fast_stream(), 380, 96}), 0)
+      << "no mutation was refused; the property is vacuous";
+}
+
+TEST(StateMutation, FaultyStreamSnapshotsAreRefusedOrKeepRunning) {
+  EXPECT_GT(refused_stream_mutations({"faulty", testing::faulty_stream(), 340, 96}), 0)
+      << "no mutation was refused; the property is vacuous";
+}
+
+TEST(StateMutation, FullVPStreamSnapshotsAreRefusedOrKeepRunning) {
+  EXPECT_GT(refused_stream_mutations({"fullvp", testing::fullvp_stream(), 240, 8}), 0)
+      << "no mutation was refused; the property is vacuous";
 }
 
 std::vector<runtime::JournalRecord> journal_records() {

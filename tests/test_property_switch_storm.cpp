@@ -1,7 +1,7 @@
 // Switch-storm properties for the serving path (DESIGN.md §14), seeded
 // and randomized: random switch schedules (weather flips at random
 // frames, always delay_ms = 0 so every decision stays model-gated),
-// random batcher geometry and queue depths, three weathers over a
+// random queue depths, three weathers over a
 // two-resident pipelined cache. Invariants, per seed:
 //   * VERDICT PARITY — the batched run under SwitchMode::Pipelined and
 //     under SwitchMode::StopAndStart both produce decision streams
@@ -54,7 +54,7 @@ std::unique_ptr<SafeCross> storm_engine() {
 }
 
 /// A randomized storm scenario: per-stream switch schedules with random
-/// flip frames and targets, random batcher deadline and queue depth.
+/// flip frames and targets, random queue depth.
 /// Everything decision-bearing derives from `base` — the same base must
 /// describe the same scenario in every switch mode.
 StreamServerConfig storm_config(std::uint64_t base) {
@@ -64,7 +64,6 @@ StreamServerConfig storm_config(std::uint64_t base) {
   cfg.record_traces = true;
   cfg.shed_on_overload = false;
   cfg.queue_capacity = 2 + rng.uniform_int(std::uint64_t{6});
-  cfg.batcher.max_batch_delay_ms = rng.uniform(0.5, 6.0);
   cfg.model_cache.capacity_models = 2;
   cfg.model_cache.bytes_scale = 1.0 / 4096.0;  // ~33 KB per load, full shape
   cfg.model_cache.executor.bandwidth_gbps = 64.0;

@@ -6,6 +6,7 @@
 
 #include "serving/stream_server.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -157,6 +158,62 @@ TEST(StreamServer, BatchedMatchesSequentialAcrossBatchSizes) {
       for (const BatchRecord& rec : batched.batch_log()) EXPECT_EQ(rec.size, 1u);
     }
   }
+}
+
+// A slow decider still fills batches: windows that arrive while one batch
+// is decided wait in their queues and leave together in the next dispatch
+// round, so work-conserving dispatch needs no batch deadline to batch.
+TEST(StreamServer, SlowDeciderStillFillsBatches) {
+  auto sc = engine_with_models({Weather::Daytime});
+  StreamServerConfig cfg = parity_base_config();
+  for (int i = 0; i < 3; ++i) {
+    cfg.streams.push_back(make_stream("cam" + std::to_string(i), Weather::Daytime,
+                                      1000 + 10 * static_cast<std::uint64_t>(i)));
+  }
+  cfg.batcher.max_batch = 3;
+  cfg.decide_delay_ms = 5.0;
+
+  StreamServer batched(*sc, cfg);
+  batched.run();
+  StreamServer reference(*sc, cfg);
+  reference.run_sequential();
+
+  ASSERT_GT(batched.total_decisions(), 0u);
+  expect_servers_agree(batched, reference);
+  std::size_t full = 0;
+  for (const BatchRecord& rec : batched.batch_log()) {
+    ASSERT_LE(rec.size, cfg.batcher.max_batch);
+    EXPECT_EQ(rec.fired_by_deadline, rec.size < cfg.batcher.max_batch);
+    full += rec.size == cfg.batcher.max_batch;
+  }
+  EXPECT_GT(full, 0u) << "no batch filled behind a slow decider";
+}
+
+// BatchRecord::max_wait_ms counts from capture, not from staging. With
+// max_batch above what the queues can hold, each dispatch round fires one
+// batch right after staging it, so a wait counted from staging would read
+// ~0 on every batch; counted from capture, it shows the time the windows
+// spent queued behind the previous (slow) batch.
+TEST(StreamServer, BatchWaitCountsFromCapture) {
+  auto sc = engine_with_models({Weather::Daytime});
+  StreamServerConfig cfg = parity_base_config();
+  for (int i = 0; i < 3; ++i) {
+    cfg.streams.push_back(make_stream("cam" + std::to_string(i), Weather::Daytime,
+                                      1000 + 10 * static_cast<std::uint64_t>(i)));
+  }
+  cfg.batcher.max_batch = 64;
+  cfg.decide_delay_ms = 20.0;
+
+  StreamServer server(*sc, cfg);
+  server.run();
+  ASSERT_GT(server.batch_log().size(), 1u);
+  double longest = 0.0;
+  for (const BatchRecord& rec : server.batch_log()) {
+    EXPECT_GE(rec.max_wait_ms, 0.0);
+    longest = std::max(longest, rec.max_wait_ms);
+  }
+  EXPECT_GE(longest, 0.5 * cfg.decide_delay_ms)
+      << "the queue wait behind a slow batch is missing from max_wait_ms";
 }
 
 TEST(StreamServer, BatchedMatchesSequentialMixedWeather) {
