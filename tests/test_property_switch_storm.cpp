@@ -1,8 +1,8 @@
 // Switch-storm properties for the serving path (DESIGN.md §14), seeded
 // and randomized: random switch schedules (weather flips at random
 // frames, always delay_ms = 0 so every decision stays model-gated),
-// random queue depths, three weathers over a
-// two-resident pipelined cache. Invariants, per seed:
+// random queue depths, three weathers over a two-resident pipelined
+// cache. Invariants, per seed:
 //   * VERDICT PARITY — the batched run under SwitchMode::Pipelined and
 //     under SwitchMode::StopAndStart both produce decision streams
 //     bit-identical to the switch-free sequential oracle, lineage
