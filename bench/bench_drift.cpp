@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/offline.h"
 #include "serving/stream_server.h"
 
 using namespace safecross;
@@ -214,9 +215,8 @@ int main(int argc, char** argv) {
   SafeCrossConfig cfg;
   cfg.model.slow_channels = 4;
   cfg.model.fast_channels = 2;
-  cfg.basic_train.epochs = 3;
   SafeCross sc(cfg);
-  sc.train_basic(bench::ptrs(day.segments));
+  core::train_basic(sc, bench::ptrs(day.segments), {.epochs = 3});
   std::printf("  trained on %zu daytime segments, %zu frames per arm\n", day.segments.size(),
               frames);
 

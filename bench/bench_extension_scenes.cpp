@@ -6,9 +6,8 @@
 
 #include "bench_common.h"
 
-#include "core/safecross.h"
+#include "core/offline.h"
 #include "core/weather_detect.h"
-#include "fewshot/maml.h"
 #include "sim/camera.h"
 
 using namespace safecross;
@@ -17,24 +16,23 @@ int main() {
   bench::quiet_logs();
   bench::print_header("Extension: Night & Fog scenes (beyond the paper's Table III)");
 
-  // Basic model + four adapted weather models.
-  core::SafeCrossConfig cfg;
-  cfg.basic_train.epochs = 8;
-  cfg.fsl_train.epochs = 8;
-  core::SafeCross sc(cfg);
+  // Basic model + the two adapted extension-scene models.
+  core::SafeCross sc;
 
   const auto day = bench::build(dataset::Weather::Daytime,
                                 bench::default_segments(dataset::Weather::Daytime), 501);
-  sc.train_basic(bench::ptrs(day.segments));
+  core::train_basic(sc, bench::ptrs(day.segments), {.epochs = 8});
+
+  for (const auto w : {dataset::Weather::Night, dataset::Weather::Fog}) {
+    const auto pool = bench::build(w, bench::default_segments(w), 502 + static_cast<int>(w));
+    core::adapt_weather(sc, w, bench::ptrs(pool.segments));
+  }
+  switching::ModelSwitcher switcher = core::paper_switcher(sc);
 
   std::printf("  %-10s %12s %14s %10s %16s\n", "scene", "Top1", "MeanCls", "switch-ms",
               "detected-as");
   for (const auto w : {dataset::Weather::Daytime, dataset::Weather::Night, dataset::Weather::Fog}) {
-    if (w != dataset::Weather::Daytime) {
-      const auto pool = bench::build(w, bench::default_segments(w), 502 + static_cast<int>(w));
-      sc.adapt_weather(w, bench::ptrs(pool.segments));
-    }
-    const double switch_ms = sc.on_scene_change(w);
+    const double switch_ms = switcher.switch_to(vision::weather_name(w));
     const auto holdout = bench::build(w, 80, 602 + static_cast<int>(w));
     const auto eval =
         fewshot::evaluate(sc.model_for(w), bench::ptrs(holdout.segments));

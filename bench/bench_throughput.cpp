@@ -9,9 +9,8 @@
 
 #include "bench_common.h"
 
-#include "core/safecross.h"
+#include "core/offline.h"
 #include "core/throughput.h"
-#include "fewshot/maml.h"
 
 using namespace safecross;
 
@@ -20,19 +19,16 @@ int main() {
   bench::print_header("Sec. V-D: throughput comparison in blind-zone scenes");
 
   // Train the framework: daytime basic + FSL weather models.
-  core::SafeCrossConfig cfg;
-  cfg.basic_train.epochs = 8;
-  cfg.fsl_train.epochs = 8;
-  core::SafeCross sc(cfg);
+  core::SafeCross sc;
 
   const auto day = bench::build(dataset::Weather::Daytime,
                                 bench::default_segments(dataset::Weather::Daytime), 81);
-  sc.train_basic(bench::ptrs(day.segments));
+  core::train_basic(sc, bench::ptrs(day.segments), {.epochs = 8});
   const auto snow = bench::build(dataset::Weather::Snow,
                                  bench::default_segments(dataset::Weather::Snow), 82);
-  sc.adapt_weather(dataset::Weather::Snow, bench::ptrs(snow.segments));
+  core::adapt_weather(sc, dataset::Weather::Snow, bench::ptrs(snow.segments));
   const auto rain = bench::build(dataset::Weather::Rain, 34, 83);
-  sc.adapt_weather(dataset::Weather::Rain, bench::ptrs(rain.segments));
+  core::adapt_weather(sc, dataset::Weather::Rain, bench::ptrs(rain.segments));
 
   // Fresh-seed pools to harvest blind-area test segments from (the
   // paper's "10 hours video data in the daytime, rain, and snow" —
@@ -59,8 +55,7 @@ int main() {
     for (const auto* seg : blind) {
       if (seg->weather != w) continue;
       ++n;
-      sc.on_scene_change(seg->weather);
-      if (sc.classify(seg->frames).predicted_class == seg->binary_label()) ++ok;
+      if (sc.classify_as(w, seg->frames).predicted_class == seg->binary_label()) ++ok;
     }
     if (n > 0) {
       std::printf("  [%s] %zu blind segments, accuracy %.3f\n", vision::weather_name(w), n,

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "core/safecross.h"
+#include "core/offline.h"
 #include "dataset/builder.h"
 #include "serving/stream.h"
 
@@ -23,11 +23,9 @@ int main() {
   std::vector<const dataset::VideoSegment*> train;
   for (const auto& s : day.segments) train.push_back(&s);
 
-  core::SafeCrossConfig cfg;
-  cfg.basic_train.epochs = 5;
-  core::SafeCross sc(cfg);
+  core::SafeCross sc;
   std::printf("training on %zu segments...\n", train.size());
-  sc.train_basic(train);
+  core::train_basic(sc, train, {.epochs = 5});
 
   // Deploy on fresh traffic: one camera stream, decided the moment each
   // decision falls due.

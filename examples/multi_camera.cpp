@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "common/logging.h"
+#include "core/offline.h"
 #include "dataset/builder.h"
 #include "fleet/controller.h"
 #include "serving/stream_server.h"
@@ -34,11 +35,9 @@ int main() {
   std::vector<const dataset::VideoSegment*> train;
   for (const auto& s : day.segments) train.push_back(&s);
 
-  core::SafeCrossConfig cfg;
-  cfg.basic_train.epochs = 4;
-  core::SafeCross sc(cfg);
+  core::SafeCross sc;
   std::printf("training on %zu segments...\n", train.size());
-  sc.train_basic(train);
+  core::train_basic(sc, train, {.epochs = 4});
 
   // Four cameras, each its own intersection (fresh seeds), multiplexed
   // onto the one engine.

@@ -10,9 +10,8 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "core/safecross.h"
+#include "core/offline.h"
 #include "dataset/builder.h"
-#include "fewshot/trainer.h"
 
 using namespace safecross;
 
@@ -35,11 +34,8 @@ int main() {
   std::printf("generated %zu daytime and %zu rain segments\n", day.segments.size(),
               rain.segments.size());
 
-  // 2) + 3) Train the framework.
-  core::SafeCrossConfig config;
-  config.basic_train.epochs = 5;
-  config.fsl_train.epochs = 5;
-  core::SafeCross safecross(config);
+  // 2) + 3) Train the engine's models.
+  core::SafeCross safecross;
 
   std::vector<const dataset::VideoSegment*> day_ptrs;
   for (const auto& s : day.segments) day_ptrs.push_back(&s);
@@ -47,19 +43,20 @@ int main() {
   for (const auto& s : rain.segments) rain_ptrs.push_back(&s);
 
   std::printf("training basic model on daytime data...\n");
-  safecross.train_basic(day_ptrs);
+  core::train_basic(safecross, day_ptrs, {.epochs = 5});
   std::printf("adapting rain model from the basic weights (few-shot)...\n");
-  safecross.adapt_weather(dataset::Weather::Rain, rain_ptrs);
+  core::adapt_weather(safecross, dataset::Weather::Rain, rain_ptrs, core::fewshot_schedule(5));
 
   // 4) Classify a few held-back windows under each weather.
+  switching::ModelSwitcher switcher = core::paper_switcher(safecross);
   for (const auto weather : {dataset::Weather::Daytime, dataset::Weather::Rain}) {
-    const double delay = safecross.on_scene_change(weather);
+    const double delay = switcher.switch_to(vision::weather_name(weather));
     std::printf("\nscene -> %s (model switch: %.2f ms)\n", vision::weather_name(weather), delay);
     const auto& segments = weather == dataset::Weather::Daytime ? day.segments : rain.segments;
     int shown = 0;
     std::size_t correct = 0, total = 0;
     for (const auto& seg : segments) {
-      const auto d = safecross.classify(seg.frames);
+      const auto d = safecross.classify_as(weather, seg.frames);
       ++total;
       if (d.predicted_class == seg.binary_label()) ++correct;
       if (shown < 3) {

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "core/safecross.h"
+#include "core/offline.h"
 #include "core/weather_detect.h"
 #include "dataset/builder.h"
 #include "sim/camera.h"
@@ -21,19 +21,14 @@ std::vector<const dataset::VideoSegment*> ptrs(const std::vector<dataset::VideoS
   return out;
 }
 
-core::SafeCross make_framework(switching::SwitchPolicy policy) {
-  core::SafeCrossConfig cfg;
-  cfg.policy = policy;
-  cfg.basic_train.epochs = 4;
-  cfg.fsl_train.epochs = 4;
-  core::SafeCross sc(cfg);
-
+core::SafeCross make_framework() {
+  core::SafeCross sc;
   const auto day = dataset::build_dataset({dataset::Weather::Daytime, 120, 24.0, 11, {}});
-  sc.train_basic(ptrs(day.segments));
+  core::train_basic(sc, ptrs(day.segments), {.epochs = 4});
   const auto rain = dataset::build_dataset({dataset::Weather::Rain, 34, 24.0, 12, {}});
-  sc.adapt_weather(dataset::Weather::Rain, ptrs(rain.segments));
+  core::adapt_weather(sc, dataset::Weather::Rain, ptrs(rain.segments), core::fewshot_schedule(4));
   const auto snow = dataset::build_dataset({dataset::Weather::Snow, 60, 24.0, 13, {}});
-  sc.adapt_weather(dataset::Weather::Snow, ptrs(snow.segments));
+  core::adapt_weather(sc, dataset::Weather::Snow, ptrs(snow.segments), core::fewshot_schedule(4));
   return sc;
 }
 
@@ -42,10 +37,11 @@ core::SafeCross make_framework(switching::SwitchPolicy policy) {
 int main() {
   set_log_level(LogLevel::Warn);
   std::printf("training per-weather models (daytime basic + few-shot rain/snow)...\n");
+  const core::SafeCross sc = make_framework();
 
   for (const auto policy :
        {switching::SwitchPolicy::PipeSwitch, switching::SwitchPolicy::StopAndStart}) {
-    core::SafeCross sc = make_framework(policy);
+    switching::ModelSwitcher switcher = core::paper_switcher(sc, {}, policy);
     std::printf("\n--- policy: %s ---\n", switching::policy_name(policy));
 
     double lost_warning_s = 0.0;
@@ -67,7 +63,7 @@ int main() {
         ++frames;
       } while (!estimate.confident && frames < 300);
 
-      const double delay_ms = sc.on_scene_change(estimate.weather);
+      const double delay_ms = switcher.switch_to(vision::weather_name(estimate.weather));
       lost_warning_s += delay_ms / 1000.0;
       std::printf(
           "  actual=%-8s detected=%-8s (density %.4f, blob h %.1f px, %d frames)"

@@ -11,14 +11,6 @@
 
 namespace safecross::core {
 
-namespace {
-
-constexpr dataset::Weather kAllWeathers[] = {
-    dataset::Weather::Daytime, dataset::Weather::Rain, dataset::Weather::Snow,
-    dataset::Weather::Night, dataset::Weather::Fog};
-
-}  // namespace
-
 ModelStore::ModelStore(std::filesystem::path directory) : dir_(std::move(directory)) {}
 
 std::filesystem::path ModelStore::path_for(dataset::Weather weather) const {
@@ -27,7 +19,7 @@ std::filesystem::path ModelStore::path_for(dataset::Weather weather) const {
 
 void ModelStore::save(SafeCross& safecross) const {
   std::filesystem::create_directories(dir_);
-  for (const auto weather : kAllWeathers) {
+  for (const auto weather : vision::kAllWeathers) {
     if (!safecross.has_model(weather)) continue;
     models::VideoClassifier& model = safecross.model_for(weather);
     // Serialize the nn blocks in memory first so the integrity footer can
@@ -50,7 +42,7 @@ void ModelStore::save(SafeCross& safecross) const {
 
 std::vector<dataset::Weather> ModelStore::available() const {
   std::vector<dataset::Weather> out;
-  for (const auto weather : kAllWeathers) {
+  for (const auto weather : vision::kAllWeathers) {
     if (std::filesystem::exists(path_for(weather))) out.push_back(weather);
   }
   return out;
@@ -78,28 +70,28 @@ std::vector<dataset::Weather> ModelStore::warm_manifest(std::size_t max_models) 
 
 namespace {
 
-/// Structural + integrity validation before any tensor data is parsed:
-/// the file must exist, start with the checkpoint magic and end with the
-/// ModelStore footer, whose CRC32 must cover every byte before it.
-/// Returns an empty string when the file is acceptable.
-std::string validate_checkpoint(const std::filesystem::path& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) return "cannot stat checkpoint: " + ec.message();
-  // Smallest well-formed file: magic + count for params and buffers
-  // blocks, then the footer.
-  constexpr std::size_t kFooterBytes = 2 * sizeof(std::uint32_t);
-  constexpr std::uintmax_t kMinBytes =
-      2 * (sizeof(std::uint32_t) + sizeof(std::uint64_t)) + kFooterBytes;
-  if (size == 0) return "checkpoint is empty (0 bytes)";
-  if (size < kMinBytes) return "checkpoint truncated (" + std::to_string(size) + " bytes)";
+/// Reads a checkpoint once and validates its structure and integrity
+/// before any tensor data is parsed: it must start with the checkpoint
+/// magic and end with the ModelStore footer, whose CRC32 must cover every
+/// byte before it. On success `payload` holds exactly the bytes the CRC
+/// covered (the nn blocks) and the result is empty; the caller decodes
+/// that buffer, never a second read of a file that may have changed.
+std::string read_checkpoint(const std::filesystem::path& path, std::string& payload) {
   std::string bytes;
   try {
     bytes = common::read_file(path);
   } catch (const std::exception&) {
     return "cannot open checkpoint";
   }
-  if (bytes.size() < kMinBytes) return "cannot read checkpoint";
+  // Smallest well-formed file: magic + count for params and buffers
+  // blocks, then the footer.
+  constexpr std::size_t kFooterBytes = 2 * sizeof(std::uint32_t);
+  constexpr std::size_t kMinBytes =
+      2 * (sizeof(std::uint32_t) + sizeof(std::uint64_t)) + kFooterBytes;
+  if (bytes.empty()) return "checkpoint is empty (0 bytes)";
+  if (bytes.size() < kMinBytes) {
+    return "checkpoint truncated (" + std::to_string(bytes.size()) + " bytes)";
+  }
   std::uint32_t magic = 0;
   std::memcpy(&magic, bytes.data(), sizeof(magic));
   if (magic != nn::kCheckpointMagic) return "bad checkpoint magic";
@@ -108,9 +100,9 @@ std::string validate_checkpoint(const std::filesystem::path& path) {
   std::memcpy(&footer_magic, bytes.data() + bytes.size() - kFooterBytes, sizeof(footer_magic));
   std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc), sizeof(stored_crc));
   if (footer_magic != ModelStore::kFooterMagic) return "missing checkpoint footer";
-  if (common::crc32(bytes.data(), bytes.size() - kFooterBytes) != stored_crc) {
-    return "checkpoint checksum mismatch";
-  }
+  bytes.resize(bytes.size() - kFooterBytes);
+  if (common::crc32(bytes) != stored_crc) return "checkpoint checksum mismatch";
+  payload = std::move(bytes);
   return {};
 }
 
@@ -123,16 +115,19 @@ ModelStore::LoadReport ModelStore::load_report(SafeCross& safecross,
     const auto path = path_for(weather);
     std::string error;
     const auto attempt_once = [&]() -> bool {
-      error = validate_checkpoint(path);
+      std::string payload;
+      error = read_checkpoint(path, payload);
       if (!error.empty()) return false;
       // The model is only registered once the whole file deserialized:
       // a half-loaded graph must never serve.
       auto model = std::make_unique<models::SlowFast>(config.model);
       try {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) throw std::runtime_error("cannot read checkpoint");
+        std::istringstream is(std::move(payload));
         nn::load_params(is, model->params());
         nn::load_tensors(is, model->buffers());
+        if (is.peek() != std::istringstream::traits_type::eof()) {
+          throw std::runtime_error("checkpoint has bytes between its tensors and footer");
+        }
         safecross.set_model(weather, std::move(model));
         return true;
       } catch (const std::exception& e) {

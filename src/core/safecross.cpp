@@ -7,49 +7,10 @@
 
 namespace safecross::core {
 
-SafeCross::SafeCross(SafeCrossConfig config)
-    : config_(config), switcher_(config.gpu, config.policy) {}
-
-void SafeCross::register_profile(Weather weather) {
-  // The MS module reasons about the deployment-scale backbone the paper
-  // runs (SlowFast R50), not our scaled-down trainer — all weather models
-  // share the architecture, so they share the transfer/compute profile.
-  switching::ModelProfile profile = switching::slowfast_r50_profile();
-  profile.name = std::string("safecross-") + vision::weather_name(weather);
-  switcher_.register_model(vision::weather_name(weather), std::move(profile));
-}
-
-float SafeCross::train_basic(const std::vector<const VideoSegment*>& daytime_train) {
-  auto model = std::make_unique<models::SlowFast>(config_.model);
-  const float loss = fewshot::train_classifier(*model, daytime_train, config_.basic_train);
-  models_[Weather::Daytime] = std::move(model);
-  register_profile(Weather::Daytime);
-  return loss;
-}
-
-void SafeCross::adapt_weather(Weather weather,
-                              const std::vector<const VideoSegment*>& few_samples) {
-  const auto it = models_.find(Weather::Daytime);
-  if (it == models_.end()) {
-    throw std::logic_error("SafeCross: train_basic() before adapt_weather()");
-  }
-  models_[weather] = fewshot::fewshot_transfer(*it->second, few_samples, config_.fsl_train);
-  register_profile(weather);
-}
-
-float SafeCross::meta_train(const std::vector<fewshot::Task>& tasks,
-                            const fewshot::MamlConfig& config) {
-  const auto it = models_.find(Weather::Daytime);
-  if (it == models_.end()) {
-    throw std::logic_error("SafeCross: train_basic() before meta_train()");
-  }
-  fewshot::Maml maml(config);
-  return maml.meta_train(*it->second, tasks);
-}
+SafeCross::SafeCross(SafeCrossConfig config) : config_(config) {}
 
 void SafeCross::set_model(Weather weather, std::unique_ptr<models::VideoClassifier> model) {
   models_[weather] = std::move(model);
-  register_profile(weather);
 }
 
 bool SafeCross::has_model(Weather weather) const { return models_.count(weather) > 0; }
@@ -61,15 +22,6 @@ models::VideoClassifier& SafeCross::model_for(Weather weather) {
                                 vision::weather_name(weather));
   }
   return *it->second;
-}
-
-double SafeCross::on_scene_change(Weather weather) {
-  model_for(weather);  // validate
-  if (any_active_ && weather == active_) return 0.0;
-  const double delay = switcher_.switch_to(vision::weather_name(weather));
-  active_ = weather;
-  any_active_ = true;
-  return delay;
 }
 
 SafeCross::Decision SafeCross::fail_safe_decision(runtime::DecisionSource reason) {
@@ -120,11 +72,6 @@ std::vector<SafeCross::Decision> SafeCross::classify_batch_as(
                             config_.warn_threshold));
   }
   return decisions;
-}
-
-SafeCross::Decision SafeCross::classify(const std::vector<vision::Image>& window) {
-  if (!any_active_) throw std::logic_error("SafeCross: no active model; call on_scene_change()");
-  return classify_as(active_, window);
 }
 
 }  // namespace safecross::core

@@ -1,8 +1,5 @@
 #include "core/throughput.h"
 
-#include <algorithm>
-#include <map>
-
 namespace safecross::core {
 
 ThroughputReport throughput_experiment(SafeCross& safecross,
@@ -16,49 +13,10 @@ ThroughputReport throughput_experiment(SafeCross& safecross,
     } else {
       ++report.class1;
     }
-    safecross.on_scene_change(seg->weather);
-    const SafeCross::Decision d = safecross.classify(seg->frames);
+    const SafeCross::Decision d = safecross.classify_as(seg->weather, seg->frames);
     if (d.predicted_class == 1) ++report.judged_safe;
     if (d.predicted_class == truth) ++report.correct;
     if (d.predicted_class == 1 && truth == 0) ++report.missed_threats;
-  }
-  return report;
-}
-
-ThroughputReport throughput_experiment_batched(
-    SafeCross& safecross, const std::vector<const VideoSegment*>& blind_segments,
-    std::size_t max_batch) {
-  if (max_batch == 0) max_batch = 1;
-  // Group by weather, preserving segment order within a group — one
-  // switch per group keeps the weather-grouping invariant: a batch never
-  // straddles a model switch.
-  std::map<Weather, std::vector<const VideoSegment*>> by_weather;
-  for (const VideoSegment* seg : blind_segments) by_weather[seg->weather].push_back(seg);
-
-  ThroughputReport report;
-  for (const auto& [weather, segs] : by_weather) {
-    safecross.on_scene_change(weather);
-    for (std::size_t begin = 0; begin < segs.size(); begin += max_batch) {
-      const std::size_t end = std::min(segs.size(), begin + max_batch);
-      std::vector<const std::vector<vision::Image>*> windows;
-      windows.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) windows.push_back(&segs[i]->frames);
-      const auto decisions = safecross.classify_batch_as(weather, windows);
-      for (std::size_t i = begin; i < end; ++i) {
-        const VideoSegment* seg = segs[i];
-        const SafeCross::Decision& d = decisions[i - begin];
-        ++report.blind_segments;
-        const int truth = seg->binary_label();
-        if (truth == 0) {
-          ++report.class0;
-        } else {
-          ++report.class1;
-        }
-        if (d.predicted_class == 1) ++report.judged_safe;
-        if (d.predicted_class == truth) ++report.correct;
-        if (d.predicted_class == 1 && truth == 0) ++report.missed_threats;
-      }
-    }
   }
   return report;
 }

@@ -13,6 +13,8 @@
 
 namespace safecross::core {
 
+using dataset::VideoSegment;
+
 struct ThroughputReport {
   std::size_t blind_segments = 0;   // evaluated scenes (all have blind areas)
   std::size_t class0 = 0;           // truth: vehicle hidden, must wait
@@ -34,16 +36,6 @@ struct ThroughputReport {
 /// safety + throughput.
 ThroughputReport throughput_experiment(SafeCross& safecross,
                                        const std::vector<const VideoSegment*>& blind_segments);
-
-/// As throughput_experiment, but feed the segments to the engine in
-/// weather-grouped (N, 1, T, H, W) batches of at most `max_batch` — one
-/// model switch per weather group instead of one per weather change in
-/// segment order. The per-segment verdicts (and therefore the report) are
-/// bit-identical to the sequential experiment; batching only changes how
-/// the GEMM backend is fed and how often the MS module swaps models.
-ThroughputReport throughput_experiment_batched(
-    SafeCross& safecross, const std::vector<const VideoSegment*>& blind_segments,
-    std::size_t max_batch = 8);
 
 /// Utility: pick segments with blind areas, up to per-class caps
 /// (the paper's test set: 32 of class 0 and 31 of class 1).

@@ -30,9 +30,6 @@ std::chrono::milliseconds to_ms(double ms) {
   return std::chrono::milliseconds(static_cast<long long>(ms));
 }
 
-constexpr Weather kCacheWeathers[] = {Weather::Daytime, Weather::Rain, Weather::Snow,
-                                      Weather::Night, Weather::Fog};
-
 std::string scene_name(Weather weather) { return vision::weather_name(weather); }
 
 }  // namespace
@@ -583,23 +580,14 @@ void StreamServer::setup_model_cache() {
   switching::ModelCacheConfig mc = config_.model_cache;
   if (config_.switch_mode == SwitchMode::StopAndStart) mc.capacity_models = 1;
   cache_ = std::make_unique<switching::ModelCache>(mc);
-  // Seed from the engine's switcher registry — the serving cache holds the
-  // same per-weather models the discrete-event path accounts for. A
-  // weather with no registered model stays out of the cache and degrades
-  // through the daytime fallback exactly as before.
-  const switching::ModelSwitcher& sw = engine_.switcher();
-  for (const Weather weather : kCacheWeathers) {
-    const std::string scene = scene_name(weather);
-    const switching::ModelProfile* profile = sw.profile_for(scene);
-    if (profile == nullptr) continue;
-    const std::vector<int>* grouping = sw.grouping_for(scene);
-    std::vector<int> groups = grouping == nullptr ? std::vector<int>{} : *grouping;
-    if (groups.empty() && config_.switch_mode == SwitchMode::Pipelined) {
-      // The engine may run the StopAndStart ablation policy (no grouping
-      // computed); the serving pipeline still wants overlapped loads.
-      groups = switching::optimal_grouping(*profile, switching::GpuModelConfig{});
-    }
-    cache_->register_model(scene, *profile, std::move(groups));
+  // Every weather model shares the deployment-scale SlowFast R50 profile
+  // (paper Table VI), so one profile and one PipeSwitch grouping serve
+  // every weather the engine holds. A weather with no model stays out of
+  // the cache and degrades through the daytime fallback.
+  const switching::ModelProfile profile = switching::slowfast_r50_profile();
+  const std::vector<int> groups = switching::optimal_grouping(profile, switching::GpuModelConfig{});
+  for (const Weather weather : vision::kAllWeathers) {
+    if (engine_.has_model(weather)) cache_->register_model(scene_name(weather), profile, groups);
   }
   // Boot prewarm (config.prewarm, typically ModelStore::warm_manifest):
   // fill the cold cache before the first window so it never pays the
@@ -653,7 +641,7 @@ void StreamServer::start_next_load(MicroBatcher& batcher) {
   // backlog — evicting those would starve their groups behind a reload.
   const auto may_evict = [this, &batcher](const std::string& scene) {
     if (scene == last_served_scene_) return false;
-    for (const Weather w : kCacheWeathers) {
+    for (const Weather w : vision::kAllWeathers) {
       if (scene_name(w) == scene) return batcher.staged_for(w) == 0;
     }
     return true;

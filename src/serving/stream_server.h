@@ -385,8 +385,8 @@ class StreamServer {
     }
   };
 
-  /// Build + seed the cache from the engine's switcher registry (batched
-  /// run() under non-Legacy modes).
+  /// Build the cache with the R50 profile for every weather the engine
+  /// holds (batched run() under non-Legacy modes).
   void setup_model_cache();
   /// Queue a (deduped) async load request for a non-resident weather.
   void request_load(Weather weather);

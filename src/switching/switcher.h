@@ -2,11 +2,11 @@
 // The MS module's front door: a registry of per-scene models and a
 // switch operation that accounts latency with the chosen policy.
 //
-// The core framework registers one model profile per weather condition.
-// When the scene changes, switch_to() simulates the swap (PipeSwitch with
-// the optimal grouping, or Stop-and-Start for the ablation) and records
-// the delay; the framework uses the returned latency to decide how many
-// frames of warnings were unavailable during the swap.
+// core::paper_switcher registers one model profile per weather the
+// engine holds. When the scene changes, switch_to() simulates the swap
+// (PipeSwitch with the optimal grouping, or Stop-and-Start for the
+// ablation) and returns the delay: how long warnings were unavailable
+// during the swap (paper Table VI). The serving path does not use it.
 
 #include <map>
 #include <memory>
@@ -33,19 +33,6 @@ class ModelSwitcher {
 
   bool has_model(const std::string& scene) const { return entries_.count(scene) > 0; }
   const std::string& active_scene() const { return active_; }
-
-  /// Registered profile / PipeSwitch grouping for a scene; nullptr when the
-  /// scene is unregistered. The grouping is empty under StopAndStart. Used
-  /// by the serving-path ModelCache to seed its own entries from the same
-  /// registry the discrete-event path uses.
-  const ModelProfile* profile_for(const std::string& scene) const {
-    auto it = entries_.find(scene);
-    return it == entries_.end() ? nullptr : &it->second.profile;
-  }
-  const std::vector<int>* grouping_for(const std::string& scene) const {
-    auto it = entries_.find(scene);
-    return it == entries_.end() ? nullptr : &it->second.grouping;
-  }
 
   /// Switch to the scene's model; returns the switching delay in ms
   /// (0 when the scene is already active). Throws std::invalid_argument

@@ -33,6 +33,8 @@ struct Rect {
 enum class Weather { Daytime, Rain, Snow, Night, Fog };
 
 constexpr int kNumWeathers = 5;
+constexpr Weather kAllWeathers[kNumWeathers] = {Weather::Daytime, Weather::Rain, Weather::Snow,
+                                                Weather::Night, Weather::Fog};
 
 const char* weather_name(Weather w);
 

@@ -3,9 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/safecross.h"
+#include "core/offline.h"
 #include "dataset/builder.h"
-#include "fewshot/trainer.h"
 #include "serving/stream_server.h"
 
 namespace safecross {
@@ -35,9 +34,8 @@ TEST(Integration, FullPipelineProducesUsefulLiveWarnings) {
   SafeCrossConfig cfg;
   cfg.model.slow_channels = 4;
   cfg.model.fast_channels = 2;
-  cfg.basic_train.epochs = 4;
   SafeCross sc(cfg);
-  sc.train_basic(ptrs(day.segments));
+  core::train_basic(sc, ptrs(day.segments), {.epochs = 4});
 
   // 3) Serve a live (fresh-seed) simulation and score decisions.
   serving::StreamServerConfig serve_cfg;
@@ -71,26 +69,24 @@ TEST(Integration, WeatherAdaptationAndSwitchingRoundTrip) {
   SafeCrossConfig cfg;
   cfg.model.slow_channels = 4;
   cfg.model.fast_channels = 2;
-  cfg.basic_train.epochs = 3;
-  cfg.fsl_train.epochs = 6;
   SafeCross sc(cfg);
-  sc.train_basic(ptrs(day.segments));
-  sc.adapt_weather(Weather::Snow, ptrs(snow.segments));
+  core::train_basic(sc, ptrs(day.segments), {.epochs = 3});
+  core::adapt_weather(sc, Weather::Snow, ptrs(snow.segments), core::fewshot_schedule(6));
 
   // Scene change day -> snow -> day; every PipeSwitch delay < 10 ms.
-  const double d1 = sc.on_scene_change(Weather::Daytime);
-  const double d2 = sc.on_scene_change(Weather::Snow);
-  const double d3 = sc.on_scene_change(Weather::Daytime);
+  switching::ModelSwitcher switcher = core::paper_switcher(sc);
+  const double d1 = switcher.switch_to("daytime");
+  const double d2 = switcher.switch_to("snow");
+  const double d3 = switcher.switch_to("daytime");
   EXPECT_LT(d1, 10.0);
   EXPECT_LT(d2, 10.0);
   EXPECT_LT(d3, 10.0);
-  EXPECT_EQ(sc.switcher().switch_count(), 3u);
+  EXPECT_EQ(switcher.switch_count(), 3u);
 
   // The snow model still classifies snow segments sensibly.
-  sc.on_scene_change(Weather::Snow);
   std::size_t correct = 0;
   for (const auto& s : snow.segments) {
-    if (sc.classify(s.frames).predicted_class == s.binary_label()) ++correct;
+    if (sc.classify_as(Weather::Snow, s.frames).predicted_class == s.binary_label()) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / snow.segments.size(), 0.55);
 }

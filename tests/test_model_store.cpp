@@ -1,12 +1,16 @@
 #include "core/model_store.h"
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "common/checksum.h"
+#include "common/rng.h"
+#include "core/offline.h"
 #include "dataset/builder.h"
-#include "fewshot/trainer.h"
 
 namespace safecross::core {
 namespace {
@@ -17,8 +21,6 @@ SafeCrossConfig tiny_config() {
   SafeCrossConfig cfg;
   cfg.model.slow_channels = 4;
   cfg.model.fast_channels = 2;
-  cfg.basic_train.epochs = 2;
-  cfg.fsl_train.epochs = 2;
   return cfg;
 }
 
@@ -36,6 +38,38 @@ struct TempDir {
   ~TempDir() { fs::remove_all(path); }
 };
 
+/// Engine holding one untrained tiny daytime model: enough to save a
+/// well-formed checkpoint without training.
+SafeCross untrained_daytime() {
+  SafeCross sc(tiny_config());
+  sc.set_model(dataset::Weather::Daytime, std::make_unique<models::SlowFast>(tiny_config().model));
+  return sc;
+}
+
+/// A checkpoint's tensor blocks: the file without its 8-byte footer.
+std::string tensor_blocks(const fs::path& path) {
+  std::string bytes = common::read_file(path);
+  bytes.resize(bytes.size() - 2 * sizeof(std::uint32_t));
+  return bytes;
+}
+
+/// Write `blocks` with a footer whose CRC covers them, as save() does.
+void write_with_footer(const fs::path& path, const std::string& blocks) {
+  const std::uint32_t crc = common::crc32(blocks);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(blocks.data(), static_cast<std::streamsize>(blocks.size()));
+  os.write(reinterpret_cast<const char*>(&ModelStore::kFooterMagic), sizeof(std::uint32_t));
+  os.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+}
+
+runtime::BackoffPolicy no_retry() {
+  runtime::BackoffPolicy policy;
+  policy.initial_ms = 0.0;
+  policy.max_ms = 0.0;
+  policy.max_restarts = 0;
+  return policy;
+}
+
 TEST(ModelStore, SaveLoadRoundTripPreservesDecisions) {
   dataset::BuildRequest req;
   req.target_segments = 40;
@@ -44,7 +78,7 @@ TEST(ModelStore, SaveLoadRoundTripPreservesDecisions) {
   const auto day = dataset::build_dataset(req);
 
   SafeCross original(tiny_config());
-  original.train_basic(ptrs(day.segments));
+  train_basic(original, ptrs(day.segments), {.epochs = 2});
 
   TempDir tmp;
   ModelStore store(tmp.path);
@@ -57,11 +91,9 @@ TEST(ModelStore, SaveLoadRoundTripPreservesDecisions) {
   EXPECT_EQ(loaded[0], dataset::Weather::Daytime);
 
   // Identical decisions, including BatchNorm running statistics.
-  original.on_scene_change(dataset::Weather::Daytime);
-  restored.on_scene_change(dataset::Weather::Daytime);
   for (std::size_t i = 0; i < 10 && i < day.segments.size(); ++i) {
-    const auto a = original.classify(day.segments[i].frames);
-    const auto b = restored.classify(day.segments[i].frames);
+    const auto a = original.classify_as(dataset::Weather::Daytime, day.segments[i].frames);
+    const auto b = restored.classify_as(dataset::Weather::Daytime, day.segments[i].frames);
     EXPECT_EQ(a.predicted_class, b.predicted_class);
     EXPECT_FLOAT_EQ(a.prob_danger, b.prob_danger);
   }
@@ -78,8 +110,8 @@ TEST(ModelStore, SavesEveryTrainedWeather) {
   const auto snow = dataset::build_dataset(req);
 
   SafeCross sc(tiny_config());
-  sc.train_basic(ptrs(day.segments));
-  sc.adapt_weather(dataset::Weather::Snow, ptrs(snow.segments));
+  train_basic(sc, ptrs(day.segments), {.epochs = 2});
+  adapt_weather(sc, dataset::Weather::Snow, ptrs(snow.segments), fewshot_schedule(2));
 
   TempDir tmp;
   ModelStore store(tmp.path);
@@ -105,7 +137,7 @@ TEST(ModelStore, MismatchedArchitectureSkippedWithError) {
   req.seed = 94;
   const auto day = dataset::build_dataset(req);
   SafeCross sc(tiny_config());
-  sc.train_basic(ptrs(day.segments));
+  train_basic(sc, ptrs(day.segments), {.epochs = 2});
   TempDir tmp;
   ModelStore store(tmp.path);
   store.save(sc);
@@ -135,8 +167,8 @@ TEST(ModelStore, TruncatedWeatherFileSkippedHealthyOnesLoad) {
   const auto rain = dataset::build_dataset(req);
 
   SafeCross sc(tiny_config());
-  sc.train_basic(ptrs(day.segments));
-  sc.adapt_weather(dataset::Weather::Rain, ptrs(rain.segments));
+  train_basic(sc, ptrs(day.segments), {.epochs = 2});
+  adapt_weather(sc, dataset::Weather::Rain, ptrs(rain.segments), fewshot_schedule(2));
 
   TempDir tmp;
   ModelStore store(tmp.path);
@@ -157,11 +189,9 @@ TEST(ModelStore, TruncatedWeatherFileSkippedHealthyOnesLoad) {
   EXPECT_FALSE(restored.has_model(dataset::Weather::Rain));
 
   // The healthy daytime model must decide identically to the original.
-  sc.on_scene_change(dataset::Weather::Daytime);
-  restored.on_scene_change(dataset::Weather::Daytime);
   for (std::size_t i = 0; i < 5 && i < day.segments.size(); ++i) {
-    const auto a = sc.classify(day.segments[i].frames);
-    const auto b = restored.classify(day.segments[i].frames);
+    const auto a = sc.classify_as(dataset::Weather::Daytime, day.segments[i].frames);
+    const auto b = restored.classify_as(dataset::Weather::Daytime, day.segments[i].frames);
     EXPECT_EQ(a.predicted_class, b.predicted_class);
     EXPECT_FLOAT_EQ(a.prob_danger, b.prob_danger);
   }
@@ -174,7 +204,7 @@ TEST(ModelStore, ZeroByteAndBadMagicFilesSkipped) {
   req.seed = 97;
   const auto day = dataset::build_dataset(req);
   SafeCross sc(tiny_config());
-  sc.train_basic(ptrs(day.segments));
+  train_basic(sc, ptrs(day.segments), {.epochs = 2});
 
   TempDir tmp;
   ModelStore store(tmp.path);
@@ -213,7 +243,7 @@ TEST(ModelStore, MidFileBitFlipCaughtByChecksum) {
   req.seed = 98;
   const auto day = dataset::build_dataset(req);
   SafeCross sc(tiny_config());
-  sc.train_basic(ptrs(day.segments));
+  train_basic(sc, ptrs(day.segments), {.epochs = 2});
 
   TempDir tmp;
   ModelStore store(tmp.path);
@@ -244,7 +274,7 @@ TEST(ModelStore, DamagedOrMissingFooterIsRejected) {
   req.seed = 98;
   const auto day = dataset::build_dataset(req);
   SafeCross sc(tiny_config());
-  sc.train_basic(ptrs(day.segments));
+  train_basic(sc, ptrs(day.segments), {.epochs = 2});
 
   TempDir tmp;
   ModelStore store(tmp.path);
@@ -273,6 +303,26 @@ TEST(ModelStore, DamagedOrMissingFooterIsRejected) {
   }
   EXPECT_FALSE(restored.has_model(dataset::Weather::Rain));
   EXPECT_FALSE(restored.has_model(dataset::Weather::Snow));
+}
+
+// The load decodes the very bytes the CRC covered, and the tensor blocks
+// must end exactly at the footer: bytes between them are refused, not
+// ignored.
+TEST(ModelStore, BytesBetweenTensorsAndFooterAreRejected) {
+  SafeCross sc = untrained_daytime();
+  TempDir tmp;
+  ModelStore store(tmp.path);
+  store.save(sc);
+  const auto path = store.path_for(dataset::Weather::Daytime);
+  write_with_footer(path, tensor_blocks(path) + std::string(16, '\0'));
+  store.set_retry_policy(no_retry());
+
+  SafeCross restored(tiny_config());
+  const auto report = store.load_report(restored, tiny_config());
+  EXPECT_TRUE(report.loaded.empty());
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_EQ(report.errors[0].message, "checkpoint has bytes between its tensors and footer");
+  EXPECT_FALSE(restored.has_model(dataset::Weather::Daytime));
 }
 
 // A checkpoint that fails persistently is retried with bounded backoff
@@ -354,6 +404,101 @@ TEST(ModelStore, WarmManifestOnEmptyDirectoryIsEmpty) {
   ModelStore store(tmp.path);
   EXPECT_TRUE(store.warm_manifest().empty());
   EXPECT_TRUE(store.warm_manifest(3).empty());
+}
+
+/// Offsets of every framing field (magic, count, rank, dim) in the tensor
+/// blocks save() writes for `model`: the params block, then the buffers.
+std::vector<std::size_t> framing_offsets(models::VideoClassifier& model) {
+  std::vector<std::size_t> offsets;
+  std::size_t at = 0;
+  const auto block = [&](const std::vector<const nn::Tensor*>& tensors) {
+    offsets.push_back(at);                          // magic
+    offsets.push_back(at + sizeof(std::uint32_t));  // count
+    at += sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    for (const nn::Tensor* t : tensors) {
+      for (std::size_t field = 0; field <= t->ndim(); ++field) {  // rank, dims
+        offsets.push_back(at);
+        at += sizeof(std::uint32_t);
+      }
+      at += t->numel() * sizeof(float);
+    }
+  };
+  std::vector<const nn::Tensor*> params, buffers;
+  for (const nn::Param* p : model.params()) params.push_back(&p->value);
+  for (const nn::Tensor* t : model.buffers()) buffers.push_back(t);
+  block(params);
+  block(buffers);
+  offsets.push_back(at);  // end of the blocks
+  return offsets;
+}
+
+/// One seeded damage to a checkpoint's tensor blocks: a flipped bit
+/// anywhere, a framing field set to a stressing value, or bytes cut,
+/// inserted or deleted at a framing field.
+std::string mutate(std::string blocks, const std::vector<std::size_t>& fields, Rng& rng) {
+  const std::size_t field = fields[rng.uniform_int(fields.size() - 1)];
+  switch (rng.uniform_int(std::uint64_t{5})) {
+    case 0: {
+      const std::size_t at = rng.uniform_int(blocks.size());
+      blocks[at] = static_cast<char>(blocks[at] ^ (1 << rng.uniform_int(std::uint64_t{8})));
+      break;
+    }
+    case 1: {
+      const std::uint64_t values[] = {0, 1, 2, 5, 0x7FFFFFFFu, 0xFFFFFFFFu, std::uint64_t{1} << 32,
+                                      std::uint64_t{1} << 61, ~std::uint64_t{0}, rng.next_u64()};
+      const std::uint64_t v = values[rng.uniform_int(std::uint64_t{10})];
+      const std::size_t width = rng.uniform_int(std::uint64_t{2}) == 0 ? 4 : 8;
+      std::memcpy(blocks.data() + field, &v, std::min(width, blocks.size() - field));
+      break;
+    }
+    case 2:
+      blocks.resize(rng.uniform_int(blocks.size()));
+      break;
+    case 3:
+      blocks.insert(field, 1 + rng.uniform_int(std::uint64_t{16}),
+                    static_cast<char>(rng.uniform_int(std::uint64_t{256})));
+      break;
+    default:
+      blocks.erase(field, 1 + rng.uniform_int(std::uint64_t{16}));
+      break;
+  }
+  return blocks;
+}
+
+// Seeded damage to a saved checkpoint, re-framed with a fresh footer CRC
+// so that every mutation reaches nn::load_params / nn::load_tensors. Each
+// one must load or be reported in LoadReport::errors; none may throw.
+TEST(ModelStoreMutation, DamagedTensorBlocksLoadOrAreReported) {
+  SafeCross sc = untrained_daytime();
+  TempDir tmp;
+  ModelStore store(tmp.path);
+  store.save(sc);
+  store.set_retry_policy(no_retry());
+  const auto path = store.path_for(dataset::Weather::Daytime);
+  const std::string blocks = tensor_blocks(path);
+  const std::vector<std::size_t> fields = framing_offsets(sc.model_for(dataset::Weather::Daytime));
+  ASSERT_EQ(fields.back(), blocks.size()) << "the framing walk disagrees with save()";
+
+  Rng rng(0xC4EC4B01u);
+  int loaded = 0, refused = 0;
+  for (int t = 0; t < 240; ++t) {
+    write_with_footer(path, mutate(blocks, fields, rng));
+    SafeCross restored(tiny_config());
+    ModelStore::LoadReport report;
+    ASSERT_NO_THROW(report = store.load_report(restored, tiny_config())) << "trial " << t;
+    if (!report.loaded.empty()) {
+      ++loaded;
+      EXPECT_TRUE(report.errors.empty()) << "trial " << t;
+      EXPECT_TRUE(restored.has_model(dataset::Weather::Daytime)) << "trial " << t;
+      continue;
+    }
+    ++refused;
+    ASSERT_EQ(report.errors.size(), 1u) << "trial " << t;
+    EXPECT_FALSE(report.errors[0].message.empty()) << "trial " << t;
+    EXPECT_FALSE(restored.has_model(dataset::Weather::Daytime)) << "trial " << t;
+  }
+  EXPECT_GT(loaded, 0) << "no mutation loaded; the damage never spares the weights";
+  EXPECT_GT(refused, 0) << "no mutation was refused; the property is vacuous";
 }
 
 }  // namespace

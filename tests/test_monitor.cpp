@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/offline.h"
 #include "dataset/builder.h"
-#include "fewshot/trainer.h"
 #include "models/slowfast.h"
 #include "serving/stream_server.h"
 
@@ -28,11 +28,10 @@ SafeCross& trained_framework() {
     SafeCrossConfig cfg;
     cfg.model.slow_channels = 4;
     cfg.model.fast_channels = 2;
-    cfg.basic_train.epochs = 3;
     auto* framework = new SafeCross(cfg);
     std::vector<const dataset::VideoSegment*> train;
     for (const auto& s : day.segments) train.push_back(&s);
-    framework->train_basic(train);
+    train_basic(*framework, train, {.epochs = 3});
     return framework;
   }();
   return *sc;

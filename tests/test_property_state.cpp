@@ -78,11 +78,17 @@ struct Scenario {
   int frames;  // ticks before the snapshot is cut: inside a decision burst,
                // so the 200 ticks after a restore decide and apply too
   int trials;
+  // Every shard draws and decodes all `trials` mutations from the one
+  // seeded stream, but runs the 200 ticks only after trials t with
+  // t % shards == shard: together the shards run exactly the unsharded
+  // scenario, and each one sees the refusal count of all its trials.
+  int shard = 0;
+  int shards = 1;
 };
 
 /// Cut a snapshot of the scenario's stream, then restore `trials` seeded
 /// mutations of it: each must be refused with StateError or survive 200
-/// further ticks. Returns how many were refused.
+/// further ticks (this shard's trials only). Returns how many were refused.
 int refused_stream_mutations(const Scenario& s) {
   constexpr int kTicksAfter = 200;
   // The layout's small fields sit at the two ends: the simulator and the
@@ -117,6 +123,7 @@ int refused_stream_mutations(const Scenario& s) {
       ++refused;
       continue;
     }
+    if (t % s.shards != s.shard) continue;
     try {
       testing::run(ctx, kTicksAfter);
     } catch (const std::exception& e) {
@@ -134,10 +141,18 @@ TEST(StateMutation, FastStreamSnapshotsAreRefusedOrKeepRunning) {
       << "no mutation was refused; the property is vacuous";
 }
 
-TEST(StateMutation, FaultyStreamSnapshotsAreRefusedOrKeepRunning) {
-  EXPECT_GT(refused_stream_mutations({"faulty", testing::faulty_stream(), 340, 96}), 0)
+// The slowest scenario: four ctest cases share the ticks after its 96
+// mutations. Only 3 of the 96 are refused, too few to give each shard its
+// own refusal, so every shard decodes all 96 and checks the whole count.
+void faulty_stream_shard(int shard) {
+  EXPECT_GT(refused_stream_mutations({"faulty", testing::faulty_stream(), 340, 96, shard, 4}), 0)
       << "no mutation was refused; the property is vacuous";
 }
+
+TEST(StateMutation, FaultyStreamSnapshotsAreRefusedOrKeepRunningShard0) { faulty_stream_shard(0); }
+TEST(StateMutation, FaultyStreamSnapshotsAreRefusedOrKeepRunningShard1) { faulty_stream_shard(1); }
+TEST(StateMutation, FaultyStreamSnapshotsAreRefusedOrKeepRunningShard2) { faulty_stream_shard(2); }
+TEST(StateMutation, FaultyStreamSnapshotsAreRefusedOrKeepRunningShard3) { faulty_stream_shard(3); }
 
 TEST(StateMutation, FullVPStreamSnapshotsAreRefusedOrKeepRunning) {
   EXPECT_GT(refused_stream_mutations({"fullvp", testing::fullvp_stream(), 240, 8}), 0)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/offline.h"
 #include "core/throughput.h"
 #include "dataset/builder.h"
 
@@ -12,8 +13,6 @@ SafeCrossConfig tiny_config() {
   SafeCrossConfig cfg;
   cfg.model.slow_channels = 4;
   cfg.model.fast_channels = 2;
-  cfg.basic_train.epochs = 3;
-  cfg.fsl_train.epochs = 3;
   return cfg;
 }
 
@@ -50,8 +49,8 @@ std::vector<const dataset::VideoSegment*> ptrs(const std::vector<dataset::VideoS
 SafeCross& trained() {
   static SafeCross* instance = [] {
     auto* sc = new SafeCross(tiny_config());
-    sc->train_basic(ptrs(day_segments()));
-    sc->adapt_weather(Weather::Rain, ptrs(rain_segments()));
+    train_basic(*sc, ptrs(day_segments()), {.epochs = 3});
+    adapt_weather(*sc, Weather::Rain, ptrs(rain_segments()), fewshot_schedule(3));
     return sc;
   }();
   return *instance;
@@ -59,12 +58,7 @@ SafeCross& trained() {
 
 TEST(SafeCross, RequiresBasicModelBeforeAdaptation) {
   SafeCross sc(tiny_config());
-  EXPECT_THROW(sc.adapt_weather(Weather::Rain, ptrs(rain_segments())), std::logic_error);
-}
-
-TEST(SafeCross, RequiresActiveModelBeforeClassify) {
-  SafeCross sc(tiny_config());
-  EXPECT_THROW(sc.classify(day_segments()[0].frames), std::logic_error);
+  EXPECT_THROW(adapt_weather(sc, Weather::Rain, ptrs(rain_segments())), std::logic_error);
 }
 
 TEST(SafeCross, TrainBasicRegistersDaytimeModel) {
@@ -74,8 +68,7 @@ TEST(SafeCross, TrainBasicRegistersDaytimeModel) {
 }
 
 TEST(SafeCross, ClassifyProducesCalibratedDecision) {
-  trained().on_scene_change(Weather::Daytime);
-  const auto d = trained().classify(day_segments()[0].frames);
+  const auto d = trained().classify_as(Weather::Daytime, day_segments()[0].frames);
   EXPECT_GE(d.prob_danger, 0.0f);
   EXPECT_LE(d.prob_danger, 1.0f);
   EXPECT_TRUE(d.predicted_class == 0 || d.predicted_class == 1);
@@ -83,43 +76,21 @@ TEST(SafeCross, ClassifyProducesCalibratedDecision) {
 }
 
 TEST(SafeCross, SceneChangePaysSwitchDelayOnce) {
-  trained().on_scene_change(Weather::Daytime);
-  const double to_rain = trained().on_scene_change(Weather::Rain);
+  switching::ModelSwitcher switcher = paper_switcher(trained());
+  switcher.switch_to("daytime");
+  const double to_rain = switcher.switch_to("rain");
   EXPECT_GT(to_rain, 0.0);
   EXPECT_LT(to_rain, 10.0);  // PipeSwitch policy by default
-  EXPECT_DOUBLE_EQ(trained().on_scene_change(Weather::Rain), 0.0);
-  EXPECT_EQ(trained().active_weather(), Weather::Rain);
-}
-
-TEST(SafeCross, MetaTrainRequiresBasicModel) {
-  SafeCross sc(tiny_config());
-  fewshot::MamlConfig cfg;
-  cfg.meta_iterations = 1;
-  EXPECT_THROW(sc.meta_train({}, cfg), std::logic_error);
-}
-
-TEST(SafeCross, MetaTrainRefinesBasicModel) {
-  fewshot::Task task;
-  task.name = "daytime";
-  task.pool = ptrs(day_segments());
-  fewshot::MamlConfig cfg;
-  cfg.meta_iterations = 1;
-  cfg.inner_steps = 1;
-  cfg.tasks_per_batch = 1;
-  cfg.episode.k_shot = 2;
-  cfg.episode.query_per_class = 2;
-  const float before = trained().model_for(Weather::Daytime).params()[0]->value[0];
-  const float loss = trained().meta_train({task}, cfg);
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_NE(trained().model_for(Weather::Daytime).params()[0]->value[0], before);
+  EXPECT_DOUBLE_EQ(switcher.switch_to("rain"), 0.0);
+  EXPECT_EQ(switcher.active_scene(), "rain");
 }
 
 TEST(SafeCross, SceneChangeToMissingModelThrows) {
-  EXPECT_THROW(trained().on_scene_change(Weather::Snow), std::invalid_argument);
+  switching::ModelSwitcher switcher = paper_switcher(trained());
+  EXPECT_THROW(switcher.switch_to("snow"), std::invalid_argument);
 }
 
 TEST(SafeCross, BasicModelBeatsChanceOnTraining) {
-  trained().on_scene_change(Weather::Daytime);
   std::size_t correct = 0;
   const auto& segs = day_segments();
   for (const auto& s : segs) {

@@ -415,6 +415,36 @@ TEST(StreamServer, ServingRuleOwnModelElseDaytimeElseFailSafe) {
   }
 }
 
+// The server builds its ModelCache itself, with the R50 profile for
+// exactly the weathers the engine holds. A weather without a model stays
+// out of the cache, and its stream is still judged by the daytime model.
+TEST(StreamServer, ModelCacheRegistersTheEngineWeathersOnly) {
+  auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
+  StreamServerConfig cfg = parity_base_config();
+  cfg.frames = 30 * 20;  // this seed's first decisions land from frame ~360
+  cfg.batcher.max_batch = 2;
+  cfg.switch_mode = SwitchMode::Pipelined;
+  cfg.streams = {make_stream("cam", Weather::Snow, 87010)};
+
+  StreamServer batched(*sc, cfg);
+  batched.run();
+  const switching::ModelCache* cache = batched.model_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_TRUE(cache->registered("daytime"));
+  EXPECT_TRUE(cache->registered("rain"));
+  EXPECT_FALSE(cache->registered("snow"));
+  StreamServer reference(*sc, cfg);
+  reference.run_sequential();
+  expect_servers_agree(batched, reference);
+
+  // Same verdicts as an engine whose snow model carries the daytime weights.
+  ASSERT_GT(model_decisions(reference), 0u) << "no model-gated decision — weak scenario";
+  auto snow_as_day = engine_with_seeds({{Weather::Snow, model_seed(Weather::Daytime)}});
+  StreamServer want(*snow_as_day, cfg);
+  want.run_sequential();
+  expect_servers_agree(reference, want);
+}
+
 TEST(StreamServer, FailedSwitchGatesOnlyItsOwnStream) {
   auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
   StreamServerConfig cfg = parity_base_config();
