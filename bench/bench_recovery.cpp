@@ -5,7 +5,10 @@
 // point (snapshot interval x journal fsync policy):
 //   * baseline  — no durability: the decisions/sec ceiling.
 //   * durable   — journal + snapshots on, uninterrupted: the steady-state
-//     overhead an operator pays for crash consistency.
+//     overhead an operator pays for crash consistency. Timed twice: on
+//     run_sequential(), which commits one journal record per group, and
+//     on the batched run() that serves traffic, which commits one group
+//     (one write, at most one fsync) per decided batch.
 //   * recovery  — the same durable run killed half-way through its
 //     journal appends (CrashInjector, torn tail included), then a fresh
 //     server recover()s the damaged directory and finishes the run. The
@@ -76,6 +79,9 @@ struct PointResult {
   std::size_t decisions = 0;
   double baseline_wall_ms = 0.0;
   double durable_wall_ms = 0.0;
+  double batched_baseline_wall_ms = 0.0;
+  double batched_durable_wall_ms = 0.0;
+  std::uint64_t batched_journal_syncs = 0;
   std::size_t journal_bytes = 0;
   std::size_t snapshot_generations = 0;
   double recover_ms = 0.0;      // snapshot load + journal replay
@@ -85,9 +91,13 @@ struct PointResult {
   bool parity_ok = false;
   int uncaught_exceptions = 0;
 
-  double overhead_pct() const {
-    if (baseline_wall_ms <= 0.0) return 0.0;
-    return 100.0 * (durable_wall_ms - baseline_wall_ms) / baseline_wall_ms;
+  static double overhead_pct(double durable, double baseline) {
+    if (baseline <= 0.0) return 0.0;
+    return 100.0 * (durable - baseline) / baseline;
+  }
+  double overhead_pct() const { return overhead_pct(durable_wall_ms, baseline_wall_ms); }
+  double batched_overhead_pct() const {
+    return overhead_pct(batched_durable_wall_ms, batched_baseline_wall_ms);
   }
 };
 
@@ -134,40 +144,58 @@ std::size_t count_snapshots(const fs::path& dir) {
   return n;
 }
 
+/// Wall time of one run, sequential or batched.
+double timed_run(StreamServer& server, bool batched) {
+  const auto t0 = Clock::now();
+  batched ? server.run() : server.run_sequential();
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 PointResult measure_point(core::SafeCross& sc, const StreamServerConfig& base,
                           const StreamServer& baseline, double baseline_wall_ms,
-                          std::size_t snapshot_every, runtime::FsyncPolicy fsync,
-                          std::size_t reps) {
+                          double batched_baseline_wall_ms, std::size_t snapshot_every,
+                          runtime::FsyncPolicy fsync, std::size_t reps) {
   PointResult r;
   r.snapshot_every = snapshot_every;
   r.fsync = fsync;
   r.decisions = baseline.total_decisions();
   r.baseline_wall_ms = baseline_wall_ms;
+  r.batched_baseline_wall_ms = batched_baseline_wall_ms;
   std::string tag = "s";
   tag += std::to_string(snapshot_every);
   tag += '_';
   tag += runtime::fsync_policy_name(fsync);
   try {
-    // Steady-state arm: uninterrupted durable runs, median wall time.
+    // Steady-state arm: uninterrupted durable runs, median wall time, on
+    // the sequential path and on the batched one. A batched run's verdicts
+    // must match the baseline too.
     std::vector<double> walls;
+    std::vector<double> batched_walls;
+    bool batched_parity = true;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       ScratchDir scratch(tag + "_steady");
       StreamServerConfig cfg = base;
       cfg.durability.dir = scratch.path;
       cfg.durability.snapshot_every_decisions = snapshot_every;
       cfg.durability.journal.fsync = fsync;
-      StreamServer server(sc, cfg);
-      const auto t0 = Clock::now();
-      server.run_sequential();
-      walls.push_back(
-          std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+      {
+        StreamServer server(sc, cfg);
+        walls.push_back(timed_run(server, /*batched=*/false));
+      }
       if (rep + 1 == reps) {
         r.journal_bytes =
             static_cast<std::size_t>(fs::file_size(scratch.path / "journal.wal"));
         r.snapshot_generations = count_snapshots(scratch.path);
       }
+      ScratchDir batched_scratch(tag + "_steady_batched");
+      cfg.durability.dir = batched_scratch.path;
+      StreamServer server(sc, cfg);
+      batched_walls.push_back(timed_run(server, /*batched=*/true));
+      r.batched_journal_syncs = server.journal_syncs();
+      batched_parity = batched_parity && traces_agree(server, baseline);
     }
     r.durable_wall_ms = median(walls);
+    r.batched_durable_wall_ms = median(batched_walls);
 
     // Recovery arm: kill half-way through the journal appends, then time
     // recover() and the resumed run on a fresh server.
@@ -198,7 +226,7 @@ PointResult measure_point(core::SafeCross& sc, const StreamServerConfig& base,
     r.resume_wall_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
     r.replayed_pending = static_cast<std::size_t>(report.journal_pending);
     r.recovered_from_snapshot = report.recovered_from_snapshot;
-    r.parity_ok = killed && traces_agree(survivor, baseline);
+    r.parity_ok = killed && batched_parity && traces_agree(survivor, baseline);
   } catch (const std::exception& e) {
     ++r.uncaught_exceptions;
     std::printf("  !! uncaught exception (%s): %s\n", tag.c_str(), e.what());
@@ -207,24 +235,31 @@ PointResult measure_point(core::SafeCross& sc, const StreamServerConfig& base,
 }
 
 void print_point(const PointResult& r) {
-  std::printf("  %8zu %-7s %6zu %9.1f %9.1f %7.1f%% %8zu %5zu %8.2f %9.1f %5zu %6s %4d\n",
-              r.snapshot_every, runtime::fsync_policy_name(r.fsync), r.decisions,
-              r.baseline_wall_ms, r.durable_wall_ms, r.overhead_pct(), r.journal_bytes,
-              r.snapshot_generations, r.recover_ms, r.resume_wall_ms, r.replayed_pending,
-              r.parity_ok ? "ok" : "FAIL", r.uncaught_exceptions);
+  std::printf(
+      "  %8zu %-7s %6zu %9.1f %9.1f %7.1f%% %9.1f %7.1f%% %6llu %8zu %5zu %8.2f %9.1f %5zu "
+      "%6s %4d\n",
+      r.snapshot_every, runtime::fsync_policy_name(r.fsync), r.decisions, r.baseline_wall_ms,
+      r.durable_wall_ms, r.overhead_pct(), r.batched_durable_wall_ms,
+      r.batched_overhead_pct(), static_cast<unsigned long long>(r.batched_journal_syncs),
+      r.journal_bytes, r.snapshot_generations, r.recover_ms, r.resume_wall_ms,
+      r.replayed_pending, r.parity_ok ? "ok" : "FAIL", r.uncaught_exceptions);
 }
 
 void json_point(std::FILE* f, const PointResult& r, bool last) {
   std::fprintf(f,
                "    {\"snapshot_every_decisions\": %zu, \"fsync\": \"%s\", "
                "\"decisions\": %zu, \"baseline_wall_ms\": %.2f, \"durable_wall_ms\": %.2f, "
-               "\"overhead_pct\": %.2f, \"journal_bytes\": %zu, "
+               "\"overhead_pct\": %.2f, \"batched_baseline_wall_ms\": %.2f, "
+               "\"batched_durable_wall_ms\": %.2f, \"batched_overhead_pct\": %.2f, "
+               "\"batched_journal_syncs\": %llu, \"journal_bytes\": %zu, "
                "\"snapshot_generations\": %zu, \"recover_ms\": %.3f, "
                "\"resume_wall_ms\": %.2f, \"replayed_pending\": %zu, "
                "\"recovered_from_snapshot\": %s, \"parity_ok\": %s, "
                "\"uncaught_exceptions\": %d}%s\n",
                r.snapshot_every, runtime::fsync_policy_name(r.fsync), r.decisions,
-               r.baseline_wall_ms, r.durable_wall_ms, r.overhead_pct(), r.journal_bytes,
+               r.baseline_wall_ms, r.durable_wall_ms, r.overhead_pct(),
+               r.batched_baseline_wall_ms, r.batched_durable_wall_ms, r.batched_overhead_pct(),
+               static_cast<unsigned long long>(r.batched_journal_syncs), r.journal_bytes,
                r.snapshot_generations, r.recover_ms, r.resume_wall_ms, r.replayed_pending,
                r.recovered_from_snapshot ? "true" : "false", r.parity_ok ? "true" : "false",
                r.uncaught_exceptions, last ? "" : ",");
@@ -263,21 +298,23 @@ int main(int argc, char** argv) {
 
   const StreamServerConfig base = workload(frames);
   std::vector<double> baseline_walls;
+  std::vector<double> batched_baseline_walls;
   std::unique_ptr<StreamServer> baseline;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     baseline = std::make_unique<StreamServer>(*sc, base);
-    const auto t0 = Clock::now();
-    baseline->run_sequential();
-    baseline_walls.push_back(
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+    baseline_walls.push_back(timed_run(*baseline, /*batched=*/false));
+    StreamServer batched(*sc, base);
+    batched_baseline_walls.push_back(timed_run(batched, /*batched=*/true));
   }
   const double baseline_wall_ms = median(baseline_walls);
+  const double batched_baseline_wall_ms = median(batched_baseline_walls);
 
   std::printf("  %zu frames per stream, 2 streams, %zu decisions, median of %zu reps\n",
               frames, baseline->total_decisions(), reps);
-  std::printf("  %8s %-7s %6s %9s %9s %8s %8s %5s %8s %9s %5s %6s %4s\n", "snap", "fsync",
-              "decis", "base-ms", "dur-ms", "overhd", "wal-B", "gens", "recov-ms",
-              "resume-ms", "pend", "parity", "exc");
+  std::printf("  batched baseline %.1f ms (median)\n", batched_baseline_wall_ms);
+  std::printf("  %8s %-7s %6s %9s %9s %8s %9s %8s %6s %8s %5s %8s %9s %5s %6s %4s\n",
+              "snap", "fsync", "decis", "base-ms", "dur-ms", "overhd", "bdur-ms", "b-ovhd",
+              "b-sync", "wal-B", "gens", "recov-ms", "resume-ms", "pend", "parity", "exc");
 
   std::vector<PointResult> results;
   bool all_parity = true;
@@ -286,8 +323,8 @@ int main(int argc, char** argv) {
     for (const runtime::FsyncPolicy fsync :
          {runtime::FsyncPolicy::None, runtime::FsyncPolicy::EveryN,
           runtime::FsyncPolicy::Every}) {
-      results.push_back(measure_point(*sc, base, *baseline, baseline_wall_ms, every, fsync,
-                                      reps));
+      results.push_back(measure_point(*sc, base, *baseline, baseline_wall_ms,
+                                      batched_baseline_wall_ms, every, fsync, reps));
       print_point(results.back());
       all_parity = all_parity && results.back().parity_ok;
       total_exceptions += results.back().uncaught_exceptions;

@@ -99,6 +99,16 @@ class StateWriter {
     buf_.append(static_cast<const char*>(data), len);
   }
 
+  /// Overwrite the u32 written earlier at byte offset `at`: a length word
+  /// whose value is known only once the body behind it is written.
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
+  }
+
+  /// Drop the bytes but keep the capacity, so a reused writer stops
+  /// allocating once it has seen its largest payload.
+  void clear() { buf_.clear(); }
+
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }
 

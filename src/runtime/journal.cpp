@@ -12,22 +12,6 @@ namespace safecross::runtime {
 
 namespace {
 
-void fsync_file(std::FILE* file) {
-  // In-process kills cannot lose user-space buffers, but a machine-level
-  // crash can lose the OS cache; fsync is what the policy knob actually
-  // buys. Failure here is a real durability violation, not a soft error.
-  if (::fsync(::fileno(file)) != 0) {
-    throw std::runtime_error("journal: fsync failed");
-  }
-}
-
-std::string encode_header() {
-  common::StateWriter w;
-  w.u32(Journal::kMagic);
-  w.u32(Journal::kVersion);
-  return w.take();
-}
-
 /// One record payload: the type byte, then that type's entry body.
 template <class Record, class A>
 void persist_record(Record& rec, A& a) {
@@ -48,6 +32,17 @@ void persist_record(Record& rec, A& a) {
   throw common::StateError("journal: unknown record type");
 }
 
+/// Append one frame to `out`: the length word is written as a
+/// placeholder and patched once the payload behind it is encoded.
+void encode_frame(const JournalRecord& record, common::StateWriter& out) {
+  const std::size_t at = out.bytes().size();
+  out.u32(0);
+  persist_record(record, out);
+  const std::size_t len = out.bytes().size() - at - 4;
+  out.patch_u32(at, static_cast<std::uint32_t>(len));
+  out.u32(common::crc32(out.bytes().data() + at + 4, len));
+}
+
 }  // namespace
 
 const char* fsync_policy_name(FsyncPolicy p) {
@@ -66,6 +61,7 @@ void Journal::open(const std::filesystem::path& path, JournalConfig config,
   crash_ = crash;
   records_appended_ = 0;
   records_since_sync_ = 0;
+  syncs_ = 0;
 
   std::error_code ec;
   const bool fresh =
@@ -77,64 +73,58 @@ void Journal::open(const std::filesystem::path& path, JournalConfig config,
     throw std::runtime_error("journal: cannot open " + path.string());
   }
   if (fresh) {
-    write_bytes(encode_header());
-    if (std::fflush(file_) != 0) {
-      throw std::runtime_error("journal: header flush failed");
-    }
-    fsync_file(file_);
+    frames_.clear();
+    frames_.u32(kMagic);
+    frames_.u32(kVersion);
+    write_bytes(frames_.bytes().size());
+    fsync_now();
   }
 }
 
 std::string Journal::encode(const JournalRecord& record) {
-  common::StateWriter payload;
-  persist_record(record, payload);
-
   common::StateWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.bytes().size()));
-  frame.raw(payload.bytes().data(), payload.bytes().size());
-  frame.u32(common::crc32(payload.bytes()));
+  encode_frame(record, frame);
   return frame.take();
 }
 
-void Journal::append(const JournalRecord& record) {
+void Journal::append(const JournalRecord& record) { append({&record, 1}); }
+
+void Journal::append(std::span<const JournalRecord> group) {
   if (file_ == nullptr) {
     throw std::runtime_error("journal: append on closed journal");
   }
-  if (crash_ != nullptr) crash_->maybe_crash(CrashPoint::BeforeJournalAppend);
-
-  const std::string bytes = encode(record);
-
-  if (crash_ != nullptr && crash_->fire_now(CrashPoint::MidJournalAppend)) {
-    // Simulate a kill half-way through the frame write: flush a genuine
-    // torn tail to disk, then die. Replay must drop exactly this frame.
-    const std::size_t half = bytes.size() / 2;
-    write_bytes(bytes.substr(0, half));
-    std::fflush(file_);
-    throw CrashInjected{CrashPoint::MidJournalAppend,
-                        crash_->hits(CrashPoint::MidJournalAppend)};
+  if (group.empty()) return;
+  frames_.clear();
+  for (const JournalRecord& record : group) {
+    // Crash points keep their per-record meaning inside a group: a kill
+    // at record j leaves exactly the bytes sequential appends would have.
+    const std::size_t start = frames_.bytes().size();
+    crash_at(CrashPoint::BeforeJournalAppend, start);
+    encode_frame(record, frames_);
+    // Mid: a genuine torn tail — replay must drop exactly this frame.
+    crash_at(CrashPoint::MidJournalAppend, start + (frames_.bytes().size() - start) / 2);
+    crash_at(CrashPoint::AfterJournalAppend, frames_.bytes().size());
   }
 
-  write_bytes(bytes);
-  if (std::fflush(file_) != 0) {
-    throw std::runtime_error("journal: flush failed");
-  }
-  ++records_appended_;
-  ++records_since_sync_;
+  write_bytes(frames_.bytes().size());
+  records_appended_ += group.size();
+  records_since_sync_ += group.size();
   switch (config_.fsync) {
     case FsyncPolicy::None:
       break;
     case FsyncPolicy::EveryN:
-      if (records_since_sync_ >= config_.fsync_every) {
-        fsync_file(file_);
-        records_since_sync_ = 0;
-      }
+      if (records_since_sync_ >= config_.fsync_every) fsync_now();
       break;
     case FsyncPolicy::Every:
-      fsync_file(file_);
-      records_since_sync_ = 0;
+      fsync_now();
       break;
   }
-  if (crash_ != nullptr) crash_->maybe_crash(CrashPoint::AfterJournalAppend);
+}
+
+void Journal::crash_at(CrashPoint point, std::size_t bytes) {
+  if (crash_ == nullptr || !crash_->fire_now(point)) return;
+  write_bytes(bytes);
+  throw CrashInjected{point, crash_->hits(point)};
 }
 
 void Journal::sync() {
@@ -142,8 +132,7 @@ void Journal::sync() {
   if (std::fflush(file_) != 0) {
     throw std::runtime_error("journal: flush failed");
   }
-  fsync_file(file_);
-  records_since_sync_ = 0;
+  fsync_now();
 }
 
 void Journal::close() {
@@ -153,10 +142,24 @@ void Journal::close() {
   file_ = nullptr;
 }
 
-void Journal::write_bytes(const std::string& bytes) {
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+void Journal::write_bytes(std::size_t n) {
+  if (std::fwrite(frames_.bytes().data(), 1, n, file_) != n) {
     throw std::runtime_error("journal: short write");
   }
+  if (std::fflush(file_) != 0) {
+    throw std::runtime_error("journal: flush failed");
+  }
+}
+
+void Journal::fsync_now() {
+  // In-process kills cannot lose user-space buffers, but a machine-level
+  // crash can lose the OS cache; fsync is what the policy knob actually
+  // buys. Failure here is a real durability violation, not a soft error.
+  if (::fsync(::fileno(file_)) != 0) {
+    throw std::runtime_error("journal: fsync failed");
+  }
+  ++syncs_;
+  records_since_sync_ = 0;
 }
 
 Journal::ReplayReport Journal::replay(const std::filesystem::path& path) {

@@ -5,14 +5,16 @@
 // An append-only log of emitted decisions, accepted recalibrations and
 // the serving-path switch protocol (ModelSwitch{Begin,Commit,Abort}).
 // Each record is framed [u32 payload_len][payload][u32 crc32(payload)]
-// behind a fixed file header, appended *before* the decision is applied
-// to any in-memory scorecard (write-ahead), and flushed according to the
-// configured fsync policy. After a process death the journal is the
-// ground truth: replay() walks the frames front to back and returns the
-// longest valid prefix, tolerating every torn-tail shape a kill can
-// leave — a half-written length word, a record cut mid-payload, a bad
-// CRC, trailing garbage — without ever throwing or inventing a record
-// that was never fully appended.
+// behind a fixed file header. Records are committed in groups (the
+// server commits one per decided batch) with one write, one flush and
+// at most one fsync per group, so durability is per committed group: no
+// record of a group is applied to any in-memory scorecard before the
+// whole group is on disk (write-ahead). After a process death the
+// journal is the ground truth: replay() walks the frames front to back
+// and returns the longest valid prefix, tolerating every torn-tail shape
+// a kill can leave — a half-written length word, a record cut
+// mid-payload, a bad CRC, trailing garbage — without ever throwing or
+// inventing a record that was never fully appended.
 //
 // Recovery contract (used by serving::StreamServer::recover):
 //   * a record in the valid prefix was definitely emitted — replaying it
@@ -24,24 +26,27 @@
 // The fsync policy trades steady-state overhead against the amount of
 // *OS-buffered* (not torn) tail at risk on a machine-level crash;
 // bench_recovery sweeps it. In-process kills (the chaos harness) always
-// see every flushed byte.
+// see every flushed byte. Grouping never changes the bytes: a group's
+// file is byte-identical to its records appended one by one.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/state_io.h"
 #include "runtime/crash_point.h"
 
 namespace safecross::runtime {
 
 enum class FsyncPolicy {
   None = 0,     // flush to the OS, never fsync (fastest, risk = OS cache)
-  EveryN = 1,   // fsync every fsync_every records
-  Every = 2,    // fsync after every record (safest, slowest)
+  EveryN = 1,   // fsync at the end of a group that reaches fsync_every records
+  Every = 2,    // fsync after every group (safest, slowest)
 };
 
 const char* fsync_policy_name(FsyncPolicy p);
@@ -179,10 +184,17 @@ class Journal {
 
   bool is_open() const { return file_ != nullptr; }
 
-  /// Append one record (write-ahead: call this BEFORE applying the
-  /// decision). Flushes to the OS always; fsyncs per policy. Crash
-  /// points: BeforeJournalAppend, MidJournalAppend (flushes a deliberate
-  /// half-record then throws CrashInjected), AfterJournalAppend.
+  /// Commit one group (write-ahead: call this BEFORE applying any of its
+  /// records). Encodes every frame into one buffer, then one write, one
+  /// flush to the OS and at most one fsync per policy; an empty group
+  /// writes nothing. Crash points keep their per-record meaning: when
+  /// BeforeJournalAppend, MidJournalAppend or AfterJournalAppend fires at
+  /// record j, the bytes sequential appends would have left (records < j;
+  /// plus half of j for Mid, all of j for After) are written and flushed,
+  /// then CrashInjected is thrown.
+  void append(std::span<const JournalRecord> group);
+
+  /// A group of one.
   void append(const JournalRecord& record);
 
   /// Flush + fsync regardless of policy (end of run).
@@ -191,6 +203,11 @@ class Journal {
   void close();
 
   std::uint64_t records_appended() const { return records_appended_; }
+
+  /// fsyncs issued since open(): the header's on a fresh file, one per
+  /// committed group under Every, one per group that crosses fsync_every
+  /// under EveryN, and one per sync().
+  std::uint64_t syncs() const { return syncs_; }
 
   /// Framed on-disk bytes of one record (exposed for the property suite).
   static std::string encode(const JournalRecord& record);
@@ -211,13 +228,20 @@ class Journal {
   static ReplayReport replay(const std::filesystem::path& path);
 
  private:
-  void write_bytes(const std::string& bytes);
+  /// Write and flush the first `n` bytes of frames_.
+  void write_bytes(std::size_t n);
+  void fsync_now();
+  /// Simulated kill at `point`: write and flush the first `bytes` of the
+  /// group's frames, then throw CrashInjected.
+  void crash_at(CrashPoint point, std::size_t bytes);
 
   std::FILE* file_ = nullptr;
   JournalConfig config_;
   CrashInjector* crash_ = nullptr;
+  common::StateWriter frames_;  // the group being committed, reused
   std::uint64_t records_appended_ = 0;
   std::size_t records_since_sync_ = 0;
+  std::uint64_t syncs_ = 0;
 };
 
 }  // namespace safecross::runtime

@@ -264,9 +264,9 @@ bool StreamServer::apply_replayed(const ReadyWindow& w) {
   return true;
 }
 
-void StreamServer::journal_decision(const ReadyWindow& w, const core::SafeCross::Decision& d,
-                                    double latency_ms) {
-  if (!journal_.is_open()) return;
+runtime::JournalRecord StreamServer::decision_record(const ReadyWindow& w,
+                                                    const core::SafeCross::Decision& d,
+                                                    double latency_ms) const {
   runtime::JournalRecord rec;
   rec.type = runtime::JournalRecordType::Decision;
   rec.decision.stream = static_cast<std::uint32_t>(w.stream);
@@ -282,7 +282,7 @@ void StreamServer::journal_decision(const ReadyWindow& w, const core::SafeCross:
   // audits journals post-run — a decision under a stale epoch is a
   // split-brain bug.
   rec.decision.owner_epoch = config_.streams[w.stream].owner_epoch;
-  journal_.append(rec);
+  return rec;
 }
 
 void StreamServer::journal_recalibrations(std::size_t i) {
@@ -500,7 +500,7 @@ void StreamServer::decide_fail_safe(const ReadyWindow& w) {
   const auto d = core::SafeCross::fail_safe_decision(w.gate);
   const double latency =
       std::chrono::duration<double, std::milli>(Clock::now() - w.captured).count();
-  journal_decision(w, d, latency);
+  if (journal_.is_open()) journal_.append(decision_record(w, d, latency));
   streams_[w.stream]->apply(w, d.predicted_class, d.prob_danger, d.warn, d.source);
   ++decisions_since_snapshot_;
   note_applied(latency);
@@ -523,39 +523,47 @@ void StreamServer::decide_batch(Batch& batch, Clock::time_point dispatched) {
     }
   }
   const std::optional<Weather> served = serve_weather(batch.weather);
+  const std::size_t n = batch.items.size();
   std::vector<const std::vector<vision::Image>*> windows;
-  windows.reserve(batch.items.size());
+  windows.reserve(n);
   for (const ReadyWindow& item : batch.items) windows.push_back(&item.window);
-  std::vector<core::SafeCross::Decision> decisions;
-  if (served) decisions = engine_.classify_batch_as(*served, windows);
+  std::vector<core::SafeCross::Decision> decisions =
+      served ? engine_.classify_batch_as(*served, windows)
+             : std::vector<core::SafeCross::Decision>(
+                   n, core::SafeCross::fail_safe_decision(
+                          DecisionSource::FailSafeSwitchInFlight));
 
   const auto now = Clock::now();
-  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+  std::vector<double> latencies(n);
+  batch_records_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
     const ReadyWindow& item = batch.items[i];
-    core::SafeCross::Decision d =
-        served ? decisions[i]
-               : core::SafeCross::fail_safe_decision(DecisionSource::FailSafeSwitchInFlight);
-    const double latency =
-        std::chrono::duration<double, std::milli>(now - item.captured).count();
-    StreamContext& ctx = *streams_[item.stream];
+    core::SafeCross::Decision& d = decisions[i];
+    latencies[i] = std::chrono::duration<double, std::milli>(now - item.captured).count();
     // Deadline budget spans capture → verdict in batched mode, queue and
     // batch waits included; off by default so wall clocks never perturb
     // parity.
-    if (d.source == DecisionSource::Model && ctx.health().deadline_blown(latency)) {
+    if (d.source == DecisionSource::Model &&
+        streams_[item.stream]->health().deadline_blown(latencies[i])) {
       d.warn = true;
       d.predicted_class = 0;
       d.source = DecisionSource::FailSafeDeadline;
     }
-    // Write-ahead: the verdict is durable before it is applied. A kill
-    // between the two re-applies it from the journal on recovery.
-    journal_decision(item, d, latency);
-    ctx.apply(item, d.predicted_class, d.prob_danger, d.warn, d.source);
-    ++decisions_since_snapshot_;
-    note_applied(latency);
+    if (journal_.is_open()) batch_records_.push_back(decision_record(item, d, latencies[i]));
   }
-  windows_batched_ += batch.items.size();
-  batch_log_.push_back({batch.weather, batch.epoch, batch.items.size(), max_wait_ms,
-                        batch.items.size() < effective_max_batch()});
+  // Group commit, write-ahead per verdict: the whole batch is durable
+  // (one write, one fsync) before any of it is applied. A kill inside the
+  // commit leaves a prefix of the batch on disk, which recovery re-applies.
+  if (journal_.is_open()) journal_.append(batch_records_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ReadyWindow& item = batch.items[i];
+    const core::SafeCross::Decision& d = decisions[i];
+    streams_[item.stream]->apply(item, d.predicted_class, d.prob_danger, d.warn, d.source);
+    ++decisions_since_snapshot_;
+    note_applied(latencies[i]);
+  }
+  windows_batched_ += n;
+  batch_log_.push_back({batch.weather, batch.epoch, n, max_wait_ms, n < effective_max_batch()});
 }
 
 void StreamServer::accept(MicroBatcher& batcher, ReadyWindow w) {
@@ -1128,7 +1136,7 @@ void StreamServer::run_sequential() {
         d.predicted_class = 0;
         d.source = DecisionSource::FailSafeDeadline;
       }
-      journal_decision(*w, d, ms);
+      if (journal_.is_open()) journal_.append(decision_record(*w, d, ms));
       ctx.apply(*w, d.predicted_class, d.prob_danger, d.warn, d.source);
       ++decisions_since_snapshot_;
       note_applied(ms);

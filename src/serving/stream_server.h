@@ -298,6 +298,10 @@ class StreamServer {
   std::size_t queue_high_water(std::size_t i) const { return high_water_[i]; }
 
   std::size_t total_decisions() const;
+  /// Journal fsyncs this incarnation issued (0 when durability is off):
+  /// one per committed group under the default policy, so a batched
+  /// durable run issues fewer than it makes decisions.
+  std::uint64_t journal_syncs() const { return journal_.syncs(); }
 
   // --- live progress (fleet heartbeat observability) ---
   // Readable from another thread while run() is on-CPU: a relaxed atomic,
@@ -419,9 +423,11 @@ class StreamServer {
   /// If the journal holds a verdict for (w.stream, w.seq), apply it —
   /// no inference, no re-append — and return true (exactly-once dedupe).
   bool apply_replayed(const ReadyWindow& w);
-  /// Write-ahead append of one decision (no-op when durability is off).
-  void journal_decision(const ReadyWindow& w, const core::SafeCross::Decision& d,
-                        double latency_ms);
+  /// The journal record of one decision, stamped with the stream's
+  /// ownership epoch. Callers commit it before applying the verdict.
+  runtime::JournalRecord decision_record(const ReadyWindow& w,
+                                         const core::SafeCross::Decision& d,
+                                         double latency_ms) const;
   /// Drain stream i's completed-recalibration outbox onto the deciding
   /// thread: journal each entry, except ones the recovered journal already
   /// holds — those are verified bit-exactly against the re-derived lineage
@@ -503,6 +509,8 @@ class StreamServer {
 
   // --- durability state ---
   runtime::Journal journal_;
+  /// decide_batch's journal group, reused across batches.
+  std::vector<runtime::JournalRecord> batch_records_;
   std::unique_ptr<SnapshotStore> snapshots_;
   /// Journaled-but-not-snapshotted verdicts awaiting their re-produced
   /// window, per stream, keyed by seq. Consumed on the deciding thread.

@@ -7,7 +7,9 @@
 #include "runtime/journal.h"
 
 #include <filesystem>
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -238,30 +240,163 @@ TEST(Journal, AppendContinuesAcrossReopen) {
 
 TEST(Journal, AllFsyncPoliciesProduceIdenticalFiles) {
   TempDir tmp;
+  std::vector<JournalRecord> records;
+  for (std::uint64_t i = 0; i < 7; ++i) records.push_back(decision_record(1, i));
+  const std::span<const JournalRecord> all(records);
   std::string baseline;
   for (const FsyncPolicy policy :
        {FsyncPolicy::None, FsyncPolicy::EveryN, FsyncPolicy::Every}) {
-    SCOPED_TRACE(fsync_policy_name(policy));
-    const fs::path path =
-        tmp.path / (std::string("j_") + fsync_policy_name(policy) + ".wal");
-    JournalConfig cfg;
-    cfg.fsync = policy;
-    cfg.fsync_every = 2;
-    Journal journal;
-    journal.open(path, cfg);
-    for (std::uint64_t i = 0; i < 7; ++i) journal.append(decision_record(1, i));
-    journal.sync();
-    journal.close();
-    const std::string bytes = common::read_file(path);
-    if (baseline.empty()) {
-      baseline = bytes;
-    } else {
-      // The policy changes *when* durability is forced, never what lands.
-      EXPECT_EQ(bytes, baseline);
+    for (const bool grouped : {false, true}) {
+      SCOPED_TRACE(std::string(fsync_policy_name(policy)) +
+                   (grouped ? " grouped" : " one by one"));
+      const fs::path path = tmp.path / (std::string("j_") + fsync_policy_name(policy) +
+                                        (grouped ? "_grouped" : "") + ".wal");
+      JournalConfig cfg;
+      cfg.fsync = policy;
+      cfg.fsync_every = 3;
+      Journal journal;
+      journal.open(path, cfg);
+      if (grouped) {
+        // Groups of 3, 0, 1 and 3: one crosses fsync_every, one lands on it.
+        journal.append(all.subspan(0, 3));
+        journal.append(all.subspan(3, 0));
+        journal.append(all.subspan(3, 1));
+        journal.append(all.subspan(4, 3));
+      } else {
+        for (const JournalRecord& rec : records) journal.append(rec);
+      }
+      EXPECT_EQ(journal.records_appended(), records.size());
+      journal.sync();
+      journal.close();
+      const std::string bytes = common::read_file(path);
+      if (baseline.empty()) {
+        baseline = bytes;
+      } else {
+        // The policy and the grouping change *when* durability is forced,
+        // never what lands.
+        EXPECT_EQ(bytes, baseline);
+      }
+      const auto report = Journal::replay(path);
+      EXPECT_EQ(report.records.size(), records.size());
+      EXPECT_FALSE(report.torn_tail);
     }
-    const auto report = Journal::replay(path);
-    EXPECT_EQ(report.records.size(), 7u);
-    EXPECT_FALSE(report.torn_tail);
+  }
+}
+
+TEST(Journal, EmptyGroupWritesNothingAndDoesNotSync) {
+  TempDir tmp;
+  const fs::path path = tmp.path / "journal.wal";
+  Journal journal;
+  journal.open(path, JournalConfig{});
+  const std::uint64_t header_syncs = journal.syncs();
+  EXPECT_EQ(header_syncs, 1u) << "a fresh file fsyncs its header";
+  journal.append(std::span<const JournalRecord>{});
+  EXPECT_EQ(journal.syncs(), header_syncs);
+  EXPECT_EQ(journal.records_appended(), 0u);
+  journal.close();
+  EXPECT_EQ(fs::file_size(path), Journal::kHeaderBytes);
+}
+
+TEST(Journal, SyncsCountOnePerGroupPerPolicy) {
+  TempDir tmp;
+  std::vector<JournalRecord> records;
+  for (std::uint64_t i = 0; i < 10; ++i) records.push_back(decision_record(0, i));
+  const std::span<const JournalRecord> all(records);
+  struct Case {
+    FsyncPolicy policy;
+    std::vector<std::uint64_t> want;  // syncs() after each group below
+  };
+  // Groups of 5, 2, 2, 1: Every fsyncs once per group; EveryN(3) only at
+  // the end of a group that reaches 3 records since the last fsync
+  // (5 → yes, 2 → no, 2+2 → yes, 1 → no); None never.
+  for (const Case& c : {Case{FsyncPolicy::Every, {2, 3, 4, 5}},
+                        Case{FsyncPolicy::EveryN, {2, 2, 3, 3}},
+                        Case{FsyncPolicy::None, {1, 1, 1, 1}}}) {
+    SCOPED_TRACE(fsync_policy_name(c.policy));
+    JournalConfig cfg;
+    cfg.fsync = c.policy;
+    cfg.fsync_every = 3;
+    Journal journal;
+    journal.open(tmp.path / (std::string("s_") + fsync_policy_name(c.policy) + ".wal"), cfg);
+    ASSERT_EQ(journal.syncs(), 1u);  // the header, whatever the policy
+    journal.append(all.subspan(0, 5));
+    EXPECT_EQ(journal.syncs(), c.want[0]);
+    journal.append(all.subspan(5, 2));
+    EXPECT_EQ(journal.syncs(), c.want[1]);
+    journal.append(all.subspan(7, 2));
+    EXPECT_EQ(journal.syncs(), c.want[2]);
+    journal.append(records[9]);
+    EXPECT_EQ(journal.syncs(), c.want[3]);
+    journal.sync();
+    EXPECT_EQ(journal.syncs(), c.want[3] + 1);
+  }
+}
+
+/// Append `prefix` one by one, then `group` — as one group or record by
+/// record — with `point` armed at its `nth` hit; return the file bytes.
+std::string killed_journal_bytes(const fs::path& path, CrashPoint point, std::size_t nth,
+                                 std::span<const JournalRecord> prefix,
+                                 std::span<const JournalRecord> group, bool grouped) {
+  CrashInjector injector;
+  injector.arm(point, nth);
+  Journal journal;
+  journal.open(path, JournalConfig{}, &injector);
+  bool killed = false;
+  try {
+    for (const JournalRecord& rec : prefix) journal.append(rec);
+    if (grouped) {
+      journal.append(group);
+    } else {
+      for (const JournalRecord& rec : group) journal.append(rec);
+    }
+  } catch (const CrashInjected& crash) {
+    killed = true;
+    EXPECT_EQ(crash.point, point);
+    EXPECT_EQ(crash.hit, nth);
+  }
+  EXPECT_TRUE(killed) << "the armed kill never fired";
+  journal.close();
+  return common::read_file(path);
+}
+
+// A kill at record j of a group leaves the bytes sequential appends would
+// have left: records < j, plus half of j for Mid, plus all of j for After.
+TEST(Journal, GroupCrashPointsLeaveTheSequentialBytes) {
+  TempDir tmp;
+  const std::vector<JournalRecord> prefix = {decision_record(0, 0), decision_record(1, 0)};
+  std::vector<JournalRecord> group;
+  for (std::uint64_t i = 1; i <= 5; ++i) group.push_back(decision_record(i % 2, i));
+  for (const CrashPoint point : {CrashPoint::BeforeJournalAppend,
+                                 CrashPoint::MidJournalAppend,
+                                 CrashPoint::AfterJournalAppend}) {
+    for (const std::size_t j : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(crash_point_name(point)) + " at group record " +
+                   std::to_string(j));
+      // Hits count per record across groups: the prefix took two.
+      const std::size_t nth = prefix.size() + j + 1;
+      const fs::path seq_path = tmp.path / "sequential.wal";
+      const fs::path group_path = tmp.path / "grouped.wal";
+      fs::remove(seq_path);
+      fs::remove(group_path);
+      const std::string sequential =
+          killed_journal_bytes(seq_path, point, nth, prefix, group, /*grouped=*/false);
+      const std::string grouped =
+          killed_journal_bytes(group_path, point, nth, prefix, group, /*grouped=*/true);
+      EXPECT_EQ(grouped, sequential);
+
+      const auto seq_report = Journal::replay(seq_path);
+      const auto group_report = Journal::replay(group_path);
+      const std::size_t durable =
+          prefix.size() + j + (point == CrashPoint::AfterJournalAppend ? 1 : 0);
+      ASSERT_EQ(group_report.records.size(), durable);
+      ASSERT_EQ(seq_report.records.size(), durable);
+      for (std::size_t r = 0; r < durable; ++r) {
+        expect_records_equal(group_report.records[r], seq_report.records[r]);
+      }
+      EXPECT_EQ(group_report.torn_tail, seq_report.torn_tail);
+      EXPECT_EQ(group_report.torn_tail, point == CrashPoint::MidJournalAppend);
+      EXPECT_EQ(group_report.valid_bytes, seq_report.valid_bytes);
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "serving/stream_server.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -182,6 +183,32 @@ bool is_journal_point(CrashPoint p) {
          p == CrashPoint::AfterJournalAppend;
 }
 
+/// On-disk exactly-once: replay the final journal and check one record
+/// per (stream, seq), each bitwise-equal to the reference.
+void expect_journal_exactly_once(const fs::path& journal, const StreamServer& reference) {
+  const auto replay = runtime::Journal::replay(journal);
+  EXPECT_FALSE(replay.torn_tail) << "recovery must have truncated the torn tail";
+  std::map<std::pair<std::uint32_t, std::uint64_t>, runtime::DecisionEntry> seen;
+  for (const runtime::JournalRecord& rec : replay.records) {
+    if (rec.type != runtime::JournalRecordType::Decision) continue;
+    const auto key = std::make_pair(rec.decision.stream, rec.decision.seq);
+    ASSERT_TRUE(seen.emplace(key, rec.decision).second)
+        << "duplicate journal record for stream " << key.first << " seq " << key.second;
+  }
+  EXPECT_EQ(seen.size(), reference.total_decisions());
+  for (const auto& [key, entry] : seen) {
+    const auto& trace = reference.stream(key.first).trace();
+    ASSERT_LT(key.second, trace.size());
+    const DecisionRecord& want = trace[key.second];
+    EXPECT_EQ(entry.frame, want.frame);
+    EXPECT_EQ(entry.danger_truth, want.danger_truth);
+    EXPECT_EQ(entry.predicted_class, want.predicted_class);
+    EXPECT_EQ(entry.prob_danger, want.prob_danger);
+    EXPECT_EQ(entry.warn, want.warn);
+    EXPECT_EQ(entry.source, static_cast<std::uint8_t>(want.source));
+  }
+}
+
 /// One seed of the acceptance sweep: kill at mid-journal-append,
 /// mid-snapshot-write, and one more randomized point, each at a
 /// rng-chosen hit ordinal; every recovery must be bit-identical.
@@ -249,29 +276,7 @@ TEST(KillRecover, EveryCrashPointRecoversAndJournalIsExactlyOnce) {
     auto recovered = recover_and_finish(*sc, cfg, Mode::Sequential);
     expect_servers_agree(*recovered, reference);
 
-    // On-disk exactly-once: replay the final journal and check one
-    // record per (stream, seq), each bitwise-equal to the reference.
-    const auto replay = runtime::Journal::replay(scratch.path / "journal.wal");
-    EXPECT_FALSE(replay.torn_tail) << "recovery must have truncated the torn tail";
-    std::map<std::pair<std::uint32_t, std::uint64_t>, runtime::DecisionEntry> seen;
-    for (const runtime::JournalRecord& rec : replay.records) {
-      if (rec.type != runtime::JournalRecordType::Decision) continue;
-      const auto key = std::make_pair(rec.decision.stream, rec.decision.seq);
-      ASSERT_TRUE(seen.emplace(key, rec.decision).second)
-          << "duplicate journal record for stream " << key.first << " seq " << key.second;
-    }
-    EXPECT_EQ(seen.size(), reference.total_decisions());
-    for (const auto& [key, entry] : seen) {
-      const auto& trace = reference.stream(key.first).trace();
-      ASSERT_LT(key.second, trace.size());
-      const DecisionRecord& want = trace[key.second];
-      EXPECT_EQ(entry.frame, want.frame);
-      EXPECT_EQ(entry.danger_truth, want.danger_truth);
-      EXPECT_EQ(entry.predicted_class, want.predicted_class);
-      EXPECT_EQ(entry.prob_danger, want.prob_danger);
-      EXPECT_EQ(entry.warn, want.warn);
-      EXPECT_EQ(entry.source, static_cast<std::uint8_t>(want.source));
-    }
+    expect_journal_exactly_once(scratch.path / "journal.wal", reference);
   }
 }
 
@@ -443,9 +448,10 @@ TEST(KillRecover, DoubleKillDoubleRecoverStaysBitIdentical) {
 }
 
 // The batched server (producer threads + snapshot barrier) under the same
-// kills: the consumer thread dies mid-append and mid-snapshot, producers
-// are torn down, and the recovered batched run must still match the
-// sequential reference bit-for-bit.
+// kills: the consumer thread dies before, mid and after a journal append
+// and mid-snapshot, producers are torn down, and the recovered batched
+// run must still match the sequential reference bit-for-bit, with the
+// journal exactly-once.
 TEST(KillRecover, BatchedModeKillsRecoverBitIdentical) {
   auto sc = engine_with_models({Weather::Daytime, Weather::Rain});
   constexpr std::uint64_t kBase = 91000;
@@ -458,7 +464,9 @@ TEST(KillRecover, BatchedModeKillsRecoverBitIdentical) {
     std::size_t nth;
   };
   for (const Kill kill : {Kill{CrashPoint::MidJournalAppend, 7},
-                          Kill{CrashPoint::MidSnapshotWrite, 2}}) {
+                          Kill{CrashPoint::MidSnapshotWrite, 2},
+                          Kill{CrashPoint::BeforeJournalAppend, 10},
+                          Kill{CrashPoint::AfterJournalAppend, 13}}) {
     SCOPED_TRACE(crash_point_name(kill.point));
     ScratchDir scratch(std::string("batched_") + crash_point_name(kill.point));
     CrashInjector injector;
@@ -468,7 +476,49 @@ TEST(KillRecover, BatchedModeKillsRecoverBitIdentical) {
     injector.disarm();
     auto recovered = recover_and_finish(*sc, cfg, Mode::Batched);
     expect_servers_agree(*recovered, reference);
+    expect_journal_exactly_once(scratch.path / "journal.wal", reference);
   }
+
+  // A mid-append kill inside a group: the batch's earlier records are on
+  // disk but none of its verdicts is applied. Which ordinal lands past a
+  // group's first record depends on thread timing, so walk the ordinals
+  // and let the killed run's journal say: more journaled decisions than
+  // applied ones means the torn record had group-mates ahead of it.
+  bool killed_inside_group = false;
+  const std::size_t last_nth = std::min<std::size_t>(48, reference.total_decisions());
+  for (std::size_t nth = 2; nth <= last_nth && !killed_inside_group; ++nth) {
+    SCOPED_TRACE("mid-journal-append nth " + std::to_string(nth));
+    ScratchDir scratch("batched_mid_group");
+    CrashInjector injector;
+    injector.arm(CrashPoint::MidJournalAppend, nth);
+    StreamServerConfig cfg = chaos_config(kBase, scratch.path, &injector);
+    std::size_t applied = 0;
+    {
+      StreamServer victim(*sc, cfg);
+      bool killed = false;
+      try {
+        victim.run();
+      } catch (const CrashInjected&) {
+        killed = true;
+      }
+      ASSERT_TRUE(killed) << "armed kill never fired";
+      applied = victim.total_decisions();
+    }
+    const auto torn = runtime::Journal::replay(scratch.path / "journal.wal");
+    ASSERT_TRUE(torn.torn_tail);
+    std::size_t journaled = 0;
+    for (const runtime::JournalRecord& rec : torn.records) {
+      journaled += rec.type == runtime::JournalRecordType::Decision;
+    }
+    ASSERT_GE(journaled, applied) << "a verdict was applied before it was journaled";
+    if (journaled == applied) continue;  // the torn record opened its group
+    killed_inside_group = true;
+    injector.disarm();
+    auto recovered = recover_and_finish(*sc, cfg, Mode::Batched);
+    expect_servers_agree(*recovered, reference);
+    expect_journal_exactly_once(scratch.path / "journal.wal", reference);
+  }
+  EXPECT_TRUE(killed_inside_group) << "no mid-append kill landed inside a batch's group";
 }
 
 // A stream with a live fault plan (drops/freezes/blackouts consuming its

@@ -4,10 +4,13 @@
 // flipping the byte at EVERY offset in the tail must each leave replay()
 // returning a valid prefix of the original sequence — never throwing,
 // never inventing a record that was not fully appended, and never
-// dropping a record whose frame the damage did not reach.
+// dropping a record whose frame the damage did not reach. Committing the
+// records in random groups must leave the same bytes, killed or not.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -217,6 +220,70 @@ TEST(JournalProperty, ByteFlipAtEveryTailOffsetYieldsValidPrefix) {
           << "the flipped frame (or one after it) leaked into the replay";
       EXPECT_TRUE(report.torn_tail);
       EXPECT_FALSE(report.tail_error.empty());
+    }
+  }
+}
+
+/// The file left by appending `records` in the groups `sizes` describes,
+/// with `point` armed at its `nth` hit (0 = never armed).
+std::string grouped_image(const fs::path& path, const std::vector<JournalRecord>& records,
+                          const std::vector<std::size_t>& sizes, CrashPoint point,
+                          std::size_t nth) {
+  fs::remove(path);
+  CrashInjector injector;
+  if (nth > 0) injector.arm(point, nth);
+  Journal journal;
+  JournalConfig cfg;
+  cfg.fsync = FsyncPolicy::None;
+  journal.open(path, cfg, &injector);
+  try {
+    std::size_t at = 0;
+    for (const std::size_t n : sizes) {
+      journal.append(std::span<const JournalRecord>(records).subspan(at, n));
+      at += n;
+    }
+  } catch (const CrashInjected&) {
+  }
+  EXPECT_EQ(injector.fired(), nth > 0) << "nth " << nth;
+  journal.close();
+  return common::read_file(path);
+}
+
+// Group commit is invisible on disk: for seeded random records cut into
+// random groups, the file — clean, or killed at any journal crash point
+// and any record ordinal — is byte-identical to appending the records one
+// by one, so replay() sees the same prefix and the same torn tail.
+TEST(JournalProperty, RandomGroupsMatchSequentialAppendsAtEveryKill) {
+  TempDir tmp;
+  const fs::path path = tmp.path / "grouped.wal";
+  for (std::uint64_t seed : {101u, 202u, 303u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<JournalRecord> records;
+    std::vector<std::size_t> groups;
+    std::vector<std::size_t> singles;
+    while (records.size() < 12) {
+      const std::size_t n = std::min<std::size_t>(rng.uniform_int(5), 12 - records.size());
+      for (std::size_t i = 0; i < n; ++i) records.push_back(random_record(rng));
+      groups.push_back(n);  // empty groups included
+    }
+    singles.assign(records.size(), 1);
+    EXPECT_EQ(grouped_image(path, records, groups, CrashPoint::BeforeJournalAppend, 0),
+              grouped_image(path, records, singles, CrashPoint::BeforeJournalAppend, 0));
+    for (const CrashPoint point : {CrashPoint::BeforeJournalAppend,
+                                   CrashPoint::MidJournalAppend,
+                                   CrashPoint::AfterJournalAppend}) {
+      for (std::size_t nth = 1; nth <= records.size(); ++nth) {
+        SCOPED_TRACE(std::string(crash_point_name(point)) + " nth " + std::to_string(nth));
+        const std::string grouped = grouped_image(path, records, groups, point, nth);
+        const auto grouped_report = Journal::replay(path);
+        const std::string sequential = grouped_image(path, records, singles, point, nth);
+        const auto sequential_report = Journal::replay(path);
+        EXPECT_EQ(grouped, sequential);
+        EXPECT_EQ(grouped_report.records.size(), sequential_report.records.size());
+        EXPECT_EQ(grouped_report.torn_tail, sequential_report.torn_tail);
+        expect_valid_prefix(grouped_report, records, sequential_report.records.size());
+      }
     }
   }
 }

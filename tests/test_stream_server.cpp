@@ -6,8 +6,12 @@
 
 #include "serving/stream_server.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,8 @@
 
 namespace safecross::serving {
 namespace {
+
+namespace fs = std::filesystem;
 
 using core::SafeCross;
 using core::SafeCrossConfig;
@@ -611,6 +617,59 @@ TEST(StreamServer, DeadProducerIsIsolatedFromOtherStreams) {
       EXPECT_EQ(got[s].source, want[s].source);
     }
   }
+}
+
+// Group commit: a batched durable run fsyncs its journal once per
+// committed group (one per batch, one per fail-safe verdict, switch phase
+// or recalibration record) plus the header at open and the final sync, so
+// with batches of more than one window it fsyncs less often than it
+// decides. run_sequential commits groups of one.
+TEST(StreamServer, DurableBatchedRunFsyncsOncePerBatch) {
+  auto sc = engine_with_models({Weather::Daytime});
+  StreamServerConfig cfg = parity_base_config();
+  cfg.frames = 30 * 40;
+  for (int i = 0; i < 3; ++i) {
+    cfg.streams.push_back(make_stream("cam" + std::to_string(i), Weather::Daytime,
+                                      3000 + 10 * static_cast<std::uint64_t>(i)));
+  }
+  cfg.batcher.max_batch = 3;
+  cfg.decide_delay_ms = 5.0;  // windows pile up behind each batch
+  StreamServer reference(*sc, cfg);
+  reference.run_sequential();
+
+  const fs::path dir =
+      fs::temp_directory_path() / ("safecross_group_commit_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  cfg.durability.dir = dir;
+  cfg.durability.snapshot_every_decisions = 64;
+  const auto other_records = [&dir] {
+    std::size_t n = 0;  // switch phases and recalibrations
+    for (const auto& rec : runtime::Journal::replay(dir / "journal.wal").records) {
+      n += rec.type != runtime::JournalRecordType::Decision;
+    }
+    return n;
+  };
+  const auto fail_safe = [](const StreamServer& server) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < server.stream_count(); ++i) {
+      n += server.stream(i).scorecard().fail_safe_decisions();
+    }
+    return n;
+  };
+
+  StreamServer batched(*sc, cfg);
+  batched.run();
+  expect_servers_agree(batched, reference);
+  const std::size_t batches = batched.batch_log().size();
+  EXPECT_LE(batched.journal_syncs(), batches + fail_safe(batched) + other_records() + 2);
+  ASSERT_GT(batched.windows_batched(), batches) << "the mean batch must exceed one window";
+  EXPECT_LT(batched.journal_syncs(), batched.total_decisions());
+
+  fs::remove_all(dir);
+  StreamServer sequential(*sc, cfg);
+  sequential.run_sequential();
+  EXPECT_EQ(sequential.journal_syncs(), sequential.total_decisions() + other_records() + 2);
+  fs::remove_all(dir);
 }
 
 TEST(StreamServer, OverloadShedsWithExactAccounting) {
